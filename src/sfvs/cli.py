@@ -245,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--d", type=int, default=3, help="independence bound for the xp solvers")
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
     p_solve.add_argument("--threads", type=int, default=1, help="accepted, never changes output")
-    p_solve.add_argument("--seedless", action="store_true", help=argparse.SUPPRESS)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_check = sub.add_parser("check", help="re-verify a solution file")

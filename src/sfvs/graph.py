@@ -397,6 +397,18 @@ def find_independent_set(g: Graph, k: int) -> tuple[int, ...] | None:
     return None
 
 
+def require_alpha(g: Graph, d: int) -> None:
+    """Raise :class:`AlphaBoundError` with a witness unless alpha(G) <= d.
+
+    The one independence-bound guard every bounded-alpha solver runs, at
+    every n: its search costs at most n^(d+1), no more than the solvers' own
+    enumeration.
+    """
+    witness = find_independent_set(g, d + 1)
+    if witness is not None:
+        raise AlphaBoundError(d, witness)
+
+
 def independence_at_most(g: Graph, d: int) -> bool:
     """True iff alpha(G) <= d, by exhaustive search for a (d+1)K1."""
     if d < 1:

@@ -20,15 +20,14 @@ from typing import Iterable
 
 from .flow import min_vertex_separator
 from .graph import (
-    AlphaBoundError,
     Graph,
     InternalInvariantError,
     PreconditionError,
     _bits,
     check_vertices,
-    find_independent_set,
     ids_of,
     mask_of,
+    require_alpha,
 )
 from .oracle import Solution, _terminals_separated
 from .solvers import solve_wsfvs_alpha3
@@ -49,12 +48,6 @@ def check_multiway(
     return _terminals_separated(g, kept, tm & kept)
 
 
-def _alpha_guard(g: Graph, d: int) -> None:
-    witness = find_independent_set(g, d + 1)
-    if witness is not None:
-        raise AlphaBoundError(d, witness)
-
-
 def solve_nmc_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     """Node multiway cut (terminals protected) for alpha(G) <= 2.
 
@@ -63,7 +56,7 @@ def solve_nmc_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     vertex separator with both terminals protected is optimal.  The problem is
     a cardinality one, so the separator runs on unit capacities.
     """
-    _alpha_guard(g, 2)
+    require_alpha(g, 2)
     tm = check_vertices(g, t)
     for v in _bits(tm):
         if g._adj[v] & tm:
@@ -110,8 +103,7 @@ def solve_nmcdt_xp(g: Graph, t: Iterable[int], d: int) -> Solution:
         raise PreconditionError(f"d must be >= 1, got {d}")
     if any(w != 1 for w in g._w[1:]):
         raise PreconditionError("solve_nmcdt_xp handles unit weights only")
-    if g.n <= 22:
-        _alpha_guard(g, d)
+    require_alpha(g, d)
     tm = check_vertices(g, t)
     t_ids = ids_of(tm)
     full = g.vertex_mask()
@@ -161,7 +153,7 @@ def solve_wnmcdt_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     weighted subset feedback vertex set with S = {apex} on the result (which
     has alpha <= 3).
     """
-    _alpha_guard(g, 2)
+    require_alpha(g, 2)
     tm = check_vertices(g, t)
     terms = ids_of(tm)
     if not terms:

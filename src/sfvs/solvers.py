@@ -31,7 +31,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .flow import _solve_bipartite_cover
 from .graph import (
-    AlphaBoundError,
     Graph,
     InternalInvariantError,
     PreconditionError,
@@ -39,10 +38,10 @@ from .graph import (
     _s_cycle_free,
     check_vertices,
     components_of_mask,
-    find_independent_set,
     ids_of,
     induced_subgraph,
     mask_of,
+    require_alpha,
 )
 from .oracle import Solution
 
@@ -85,35 +84,36 @@ def enumerate_s1_candidates(
     if d < 1:
         raise PreconditionError(f"d must be >= 1, got {d}")
     s_mask = check_vertices(g, s)
-    if d <= 3 and g.n <= 22:
-        witness = find_independent_set(g, d + 1)
-        if witness is not None:
-            raise AlphaBoundError(d, witness)
-    return _s1_candidates(g, s_mask, d, loose_bounds)
+    require_alpha(g, d)
+    return (ids_of(x) for x in _s1_candidates(g, s_mask, d, loose_bounds))
 
 
-def _s1_candidates(
-    g: Graph, s_mask: int, d: int, loose_bounds: bool
-) -> Iterator[tuple[int, ...]]:
+def _s1_candidates(g: Graph, s_mask: int, d: int, loose_bounds: bool) -> Iterator[int]:
+    """The candidates of ``enumerate_s1_candidates`` as masks."""
     adj = g._adj
-    yield ()
+    yield 0
     s_ids = ids_of(s_mask)
 
+    def stays_s_forest(x_mask: int, v: int) -> bool:
+        # x is an S-forest already; a vertex with at most one neighbour in x
+        # closes no cycle, so only the others need the DFS
+        m2 = x_mask | (1 << v)
+        return (adj[v] & x_mask).bit_count() <= 1 or _s_cycle_free(adj, m2, s_mask)
+
     def extend(x_mask: int, budget: int, pool: tuple[int, ...], start: int):
-        yield ids_of(x_mask)
+        yield x_mask
         if budget == 0:
             return
         for i in range(start, len(pool)):
-            m2 = x_mask | (1 << pool[i])
             # supersets of a set with an S-cycle keep the S-cycle: prune
-            if _s_cycle_free(adj, m2, s_mask):
-                yield from extend(m2, budget - 1, pool, i + 1)
+            if stays_s_forest(x_mask, pool[i]):
+                yield from extend(x_mask | (1 << pool[i]), budget - 1, pool, i + 1)
 
     def grow_s(sp_mask: int, count: int, start: int):
         for i in range(start, len(s_ids)):
-            m2 = sp_mask | (1 << s_ids[i])
-            if not _s_cycle_free(adj, m2, s_mask):
+            if not stays_s_forest(sp_mask, s_ids[i]):
                 continue
+            m2 = sp_mask | (1 << s_ids[i])
             cnt2 = count + 1
             if loose_bounds:
                 cap = 4 * d
@@ -156,24 +156,32 @@ def build_hat_graph(g: Graph, x: Iterable[int], parts: Sequence[Iterable[int]]) 
     return Graph(len(xs) + len(parts), edges, weights)
 
 
-def _hat_ok(g: Graph, x_mask: int, s_mask: int, parts: Sequence[int]) -> bool:
-    """S-forest test of the hat graph, done in place on extended masks."""
-    ext = [m & x_mask for m in g._adj]
+def _hat_ok(base: Sequence[int], x_mask: int, s_mask: int, parts: Sequence[int]) -> bool:
+    """S-forest test of the hat graph, done in place on extended masks.
+
+    ``base`` is the graph's adjacency restricted to x,
+    ``[m & x_mask for m in g._adj]``; the caller builds it once per candidate
+    X and every hat test on that X copies it.  Proxy ``j`` takes bit
+    ``len(base) + j``, just past the graph's own vertices.
+    """
+    ext = list(base)
     kept = x_mask
-    for j, pm in enumerate(parts):
-        hat_bit = 1 << (g.n + 1 + j)
+    hat_bit = 1 << len(base)
+    for pm in parts:
         ext.append(pm)
         for v in _bits(pm):
             ext[v] |= hat_bit
         kept |= hat_bit
+        hat_bit <<= 1
     return _s_cycle_free(ext, kept, s_mask)
 
 
-def _valid_single_parts(g: Graph, x_mask: int, s_mask: int) -> list[int]:
+def _valid_single_parts(base: Sequence[int], x_mask: int, s_mask: int) -> list[int]:
     """All A inside x \\ S whose one-proxy hat graph stays an S-forest.
 
-    Validity is downward closed (removing proxy edges cannot create a cycle),
-    so the subset search prunes whole subtrees on first failure.
+    ``base`` is the x-restricted adjacency that ``_hat_ok`` takes.  Validity
+    is downward closed (removing proxy edges cannot create a cycle), so the
+    subset search prunes whole subtrees on first failure.
     """
     pool = ids_of(x_mask & ~s_mask)
     valids = [0]
@@ -181,7 +189,7 @@ def _valid_single_parts(g: Graph, x_mask: int, s_mask: int) -> list[int]:
     def grow(a_mask: int, start: int):
         for i in range(start, len(pool)):
             a2 = a_mask | (1 << pool[i])
-            if _hat_ok(g, x_mask, s_mask, (a2,)):
+            if _hat_ok(base, x_mask, s_mask, (a2,)):
                 valids.append(a2)
                 grow(a2, i + 1)
 
@@ -208,13 +216,14 @@ def enumerate_valid_tuples(
 def _valid_tuples(
     g: Graph, x_mask: int, s_mask: int, d_prime_max: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    singles = _valid_single_parts(g, x_mask, s_mask)
+    base = [m & x_mask for m in g._adj]
+    singles = _valid_single_parts(base, x_mask, s_mask)
     yield ()
 
     def grow(prefix: tuple[int, ...]):
         for a in singles:
             cand = prefix + (a,)
-            if len(cand) > 1 and not _hat_ok(g, x_mask, s_mask, cand):
+            if len(cand) > 1 and not _hat_ok(base, x_mask, s_mask, cand):
                 continue
             yield tuple(ids_of(m) for m in cand)
             if len(cand) < d_prime_max:
@@ -253,42 +262,49 @@ def b_set(g: Graph, x: Iterable[int], s: Iterable[int], a: Iterable[int]) -> tup
     return ids_of(_b_mask(g, x_mask, s_mask, a_mask))
 
 
-def _removal_key(g: Graph, kept_mask: int) -> tuple[int, tuple[int, ...]]:
-    """Sort key: maximize kept weight, then lexicographically smallest removal."""
-    removed = g.vertex_mask() & ~kept_mask
-    return (-g.weight_of_mask(kept_mask), ids_of(removed))
+def _beats(weight: int, kept: int, best_weight: int, best_kept: int) -> bool:
+    """True iff kept set ``kept`` comes before ``best_kept`` canonically.
+
+    The heavier kept set wins.  At equal weight the one whose removed set is
+    lexicographically smaller wins, and that is the one removing the lowest
+    vertex of ``kept ^ best_kept``: ``kept`` wins iff that bit lies in
+    ``best_kept``.  Weights are positive, so two tied removed sets are never
+    strict prefixes of each other and the lowest differing bit decides.  Both
+    masks may leave out a common part of equal weight, such as the shared x.
+    """
+    if weight != best_weight:
+        return weight > best_weight
+    diff = kept ^ best_kept
+    return bool(diff & -diff & best_kept)
 
 
-def _case_a1(g: Graph, x_mask: int, s_mask: int, a_mask: int) -> tuple[int, int]:
-    """Best completion with a single far component: (kept mask, component mask)."""
-    b = _b_mask(g, x_mask, s_mask, a_mask)
-    if not b:
-        return x_mask, 0
-    best = None
-    best_key = None
+def _case_a1(g: Graph, x_mask: int, b: int) -> tuple[int, int]:
+    """Best completion with a single far component inside ``b`` = B(X, A).
+
+    Returns (kept mask, component mask).
+    """
+    best = best_weight = 0
     for comp in components_of_mask(g, b):
-        key = _removal_key(g, x_mask | comp)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = comp
+        weight = g.weight_of_mask(comp)
+        if not best or _beats(weight, comp, best_weight, best):
+            best, best_weight = comp, weight
     return x_mask | best, best
 
 
 def _case_a1a2(
-    g: Graph, x_mask: int, s_mask: int, a1_mask: int, a2_mask: int
+    g: Graph, x_mask: int, s_mask: int, b1: int, b2: int
 ) -> tuple[int, int, int] | None:
-    """Best completion with two far components, or None if no pair exists.
+    """Best completion with two far components inside ``b1`` = B(X, A1) and
+    ``b2`` = B(X, A2), or None if no pair exists.
 
     Returns (kept mask, component 1 mask, component 2 mask).
     """
-    adj = g._adj
-    b1 = _b_mask(g, x_mask, s_mask, a1_mask)
-    b2 = _b_mask(g, x_mask, s_mask, a2_mask)
     if not b1 or not b2:
         return None
+    adj = g._adj
     weight = {v: g.weight(v) for v in _bits(b1 | b2)}
     best = None
-    best_key = None
+    best_weight = 0
     for w1 in _bits(b1):
         w1_bit = 1 << w1
         for w2 in _bits(b2 & ~adj[w1] & ~w1_bit):
@@ -324,10 +340,9 @@ def _case_a1a2(
                 raise InternalInvariantError(
                     "two-component completion produced an S-cycle"
                 )
-            key = _removal_key(g, kept)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (kept, c1, c2)
+            far_weight = g.weight_of_mask(c1 | c2)
+            if best is None or _beats(far_weight, c1 | c2, best_weight, best[1] | best[2]):
+                best, best_weight = (kept, c1, c2), far_weight
     return best
 
 
@@ -346,7 +361,7 @@ def solve_case_a1(
     s_mask = check_vertices(g, s)
     x_mask = check_vertices(g, x)
     a_mask = check_vertices(g, a1)
-    kept, comp = _case_a1(g, x_mask, s_mask, a_mask)
+    kept, comp = _case_a1(g, x_mask, _b_mask(g, x_mask, s_mask, a_mask))
     if not _s_cycle_free(g._adj, kept, s_mask):
         raise InternalInvariantError("single-component completion produced an S-cycle")
     return _partition_from(g, s_mask, x_mask, (comp,))
@@ -364,7 +379,9 @@ def solve_case_a1a2(
     x_mask = check_vertices(g, x)
     if not x_mask & s_mask:
         raise PreconditionError("the two-component case needs a surviving S-vertex in x")
-    res = _case_a1a2(g, x_mask, s_mask, check_vertices(g, a1), check_vertices(g, a2))
+    b1 = _b_mask(g, x_mask, s_mask, check_vertices(g, a1))
+    b2 = _b_mask(g, x_mask, s_mask, check_vertices(g, a2))
+    res = _case_a1a2(g, x_mask, s_mask, b1, b2)
     if res is None:
         return None
     _, c1, c2 = res
@@ -375,38 +392,46 @@ def solve_case_a1a2(
 
 
 def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
-    """Minimum-weight subset feedback vertex set for graphs with alpha <= 3."""
-    witness = find_independent_set(g, 4)
-    if witness is not None:
-        raise AlphaBoundError(3, witness)
+    """Minimum-weight subset feedback vertex set for graphs with alpha <= 3.
+
+    Per candidate X the work is shared: the x-restricted adjacency behind
+    every hat test is built once, B(X, A) is computed once per valid single
+    A, and only pairs of singles whose B sets are both nonempty are
+    hat-tested and completed (a pair with an empty side has no two-component
+    completion).  Completions compete on masks through ``_beats``: the
+    heavier kept set wins, and at equal weight the one whose removed set is
+    lexicographically smallest.
+    """
+    require_alpha(g, 3)
     s_mask = check_vertices(g, s)
     adj = g._adj
     full = g.vertex_mask()
 
     best_kept = full & ~s_mask  # dropping all of S is always feasible
-    best_key = _removal_key(g, best_kept)
+    best_weight = g.weight_of_mask(best_kept)
 
     def consider(kept: int):
-        nonlocal best_kept, best_key
-        key = _removal_key(g, kept)
-        if key < best_key:
-            best_key = key
-            best_kept = kept
+        nonlocal best_kept, best_weight
+        weight = g.weight_of_mask(kept)
+        if _beats(weight, kept, best_weight, best_kept):
+            best_kept, best_weight = kept, weight
 
-    for x in _s1_candidates(g, s_mask, 3, False):
-        if not x:
+    for x_mask in _s1_candidates(g, s_mask, 3, False):
+        if not x_mask:
             continue
-        x_mask = mask_of(x)
         consider(x_mask)  # empty tuple: the forest is G[x] itself
-        singles = _valid_single_parts(g, x_mask, s_mask)
-        for a in singles:
-            kept, _ = _case_a1(g, x_mask, s_mask, a)
-            consider(kept)
-        for i, a1 in enumerate(singles):
-            for a2 in singles[i:]:
-                if not _hat_ok(g, x_mask, s_mask, (a1, a2)):
+        base = [m & x_mask for m in adj]
+        live = []  # (A, B(X, A)) for the valid singles with a nonempty B
+        for a in _valid_single_parts(base, x_mask, s_mask):
+            b = _b_mask(g, x_mask, s_mask, a)
+            if b:
+                consider(_case_a1(g, x_mask, b)[0])
+                live.append((a, b))
+        for i, (a1, b1) in enumerate(live):
+            for a2, b2 in live[i:]:
+                if not _hat_ok(base, x_mask, s_mask, (a1, a2)):
                     continue
-                res = _case_a1a2(g, x_mask, s_mask, a1, a2)
+                res = _case_a1a2(g, x_mask, s_mask, b1, b2)
                 if res is not None:
                     consider(res[0])
 
@@ -429,10 +454,7 @@ def solve_sfvs_xp(g: Graph, s: Iterable[int], d: int) -> Solution:
             "solve_sfvs_xp handles unit weights only; "
             "the weighted problem is intractable beyond alpha <= 3"
         )
-    if g.n <= 22:
-        witness = find_independent_set(g, d + 1)
-        if witness is not None:
-            raise AlphaBoundError(d, witness)
+    require_alpha(g, d)
     s_mask = check_vertices(g, s)
     adj = g._adj
     full = g.vertex_mask()

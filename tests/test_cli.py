@@ -52,6 +52,19 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "[1, 2, 3, 4]" in err  # the violating 4K1
 
+    def test_xp_solvers_refuse_alpha_violations_past_the_oracle_guard(
+        self, tmp_path, capsys
+    ):
+        # 23 isolated vertices: alpha = 23, one more than the oracle's size guard
+        for algo, kind in (("sfvs-xp", "sfvs"), ("nmcdt-xp", "nmcdt")):
+            ids = " ".join(str(v) for v in range(1, 24))
+            path = write(tmp_path, f"{kind}23.txt", f"p {kind} 23 0\nset {ids}\n")
+            code = main(["solve", "--algo", algo, "--input", path, "--d", "1", "--json"])
+            captured = capsys.readouterr()
+            assert code == 3, algo
+            assert captured.out == ""
+            assert "[1, 2]" in captured.err  # the violating 2K1
+
     def test_parse_error_exits_two(self, tmp_path, capsys):
         path = write(tmp_path, "bad.txt", "p sfvs 1 1\ne 1 1\n")
         assert main(["solve", "--algo", "oracle", "--input", path]) == 2

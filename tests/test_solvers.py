@@ -18,8 +18,12 @@ from sfvs import (
     solve_case_a1,
     solve_case_a1a2,
     solve_sfvs_xp,
+    solve_wnmcdt_alpha2,
     solve_wsfvs_alpha3,
 )
+from sfvs.generate import generate_instance
+from sfvs.graph import ids_of
+from sfvs.solvers import _beats
 
 from conftest import complete_graph, random_bounded_alpha, random_subset
 
@@ -69,6 +73,11 @@ class TestCandidateEnumeration:
     def test_alpha_precondition_is_checked(self):
         with pytest.raises(AlphaBoundError):
             list(enumerate_s1_candidates(Graph(4), [1], 3))
+
+    def test_alpha_precondition_is_checked_beyond_d_three(self):
+        with pytest.raises(AlphaBoundError) as err:
+            enumerate_s1_candidates(Graph(5), [1], 4)
+        assert err.value.witness == (1, 2, 3, 4, 5)
 
     def test_optimums_near_layer_is_enumerated(self, rng):
         for _ in range(40):
@@ -358,3 +367,52 @@ class TestUnweightedXP:
                 solve_sfvs_xp(g, s, 3).objective
                 == solve_wsfvs_alpha3(g, s).objective
             )
+
+
+class TestCanonicalTieBreak:
+    """The exact removed set, not just the objective, is the oracle's."""
+
+    def test_weighted_solver_returns_the_oracles_removed_set(self):
+        rng = random.Random(20180518)
+        for _ in range(300):
+            n = rng.randint(4, 11)
+            inst = generate_instance(
+                n, rng.randint(1, 3), rng.choice([0.3, 0.6]), rng.randrange(2**31),
+                "wsfvs", rng.choice([0.3, 0.6, 0.9]), rng.choice([1, 2]),
+            )
+            got = solve_wsfvs_alpha3(inst.graph, inst.special)
+            want = oracle_solve(inst)
+            assert got.removed == want.removed, (inst.graph.edges, inst.special)
+
+    def test_apex_reduction_returns_the_oracles_removed_set(self):
+        rng = random.Random(20180519)
+        for _ in range(30):
+            n = rng.randint(4, 10)
+            inst = generate_instance(
+                n, rng.randint(1, 2), rng.choice([0.3, 0.6]), rng.randrange(2**31),
+                "wnmcdt", rng.choice([0.3, 0.6]), rng.choice([1, 2]),
+            )
+            got = solve_wnmcdt_alpha2(inst.graph, inst.special)
+            want = oracle_solve(inst)
+            assert got.removed == want.removed, (inst.graph.edges, inst.special)
+
+    def test_mask_order_agrees_with_removed_tuple_order(self, rng):
+        checked = 0
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            g = random_bounded_alpha(rng, n, 3, 0.0, wmax=rng.choice([1, 2, 3]))
+            full = g.vertex_mask()
+            k1 = rng.getrandbits(n + 1) & full
+            k2 = rng.getrandbits(n + 1) & full
+            w1, w2 = g.weight_of_mask(k1), g.weight_of_mask(k2)
+            if w1 != w2 or k1 == k2:
+                continue
+            want = ids_of(full & ~k1) < ids_of(full & ~k2)
+            assert _beats(w1, k1, w2, k2) == want, (n, k1, k2)
+            assert _beats(w2, k2, w1, k1) == (not want), (n, k1, k2)
+            checked += 1
+        assert checked > 200
+
+    def test_mask_order_prefers_the_heavier_kept_set(self):
+        assert _beats(5, 0b0110, 4, 0b1000)
+        assert not _beats(4, 0b1000, 5, 0b0110)
