@@ -8,22 +8,16 @@ from .flow import (
     UnboundedFlowError,
     max_flow,
     min_vertex_separator,
-    min_weight_bipartite_vertex_cover,
 )
 from .graph import (
     AlphaBoundError,
-    BlockDecomposition,
     Graph,
     GraphError,
-    InducedSubgraph,
     InternalInvariantError,
     PreconditionError,
-    block_decomposition,
     find_independent_set,
     independence_at_most,
-    induced_subgraph,
     is_s_forest,
-    max_independent_set,
     neighborhood,
 )
 from .multiway import (
@@ -52,13 +46,7 @@ from .reductions import (
     verify_reduction,
 )
 from .solvers import (
-    SDistancePartition,
-    b_set,
-    build_hat_graph,
     enumerate_s1_candidates,
-    enumerate_valid_tuples,
-    solve_case_a1,
-    solve_case_a1a2,
     solve_sfvs_xp,
     solve_wsfvs_alpha3,
 )

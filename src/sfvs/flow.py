@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .graph import (
     Graph,
@@ -196,103 +196,6 @@ def _solve_bipartite_cover(
     net, node_of = _bipartite_cover_net(left, right, edges, weight)
     value, cut = max_flow(net)
     return value, _cover_from_cut(left, right, node_of, net.sink, cut)
-
-
-def _constrained_cover_weight(
-    left_set: frozenset[int],
-    edges: list[tuple[int, int]],
-    weight: dict[int, int],
-    forced: set[int],
-    banned: set[int],
-) -> int | None:
-    """Minimum cover weight over covers that include ``forced`` and avoid ``banned``.
-
-    None when no such cover exists.  Banning a vertex forces every neighbor
-    across an uncovered edge, which may cascade.
-    """
-    forced = set(forced)
-    pending = list(edges)
-    while True:
-        remaining = []
-        grew = False
-        for a, b in pending:
-            if a in forced or b in forced:
-                continue
-            a_banned = a in banned
-            b_banned = b in banned
-            if a_banned and b_banned:
-                return None
-            if a_banned:
-                forced.add(b)
-                grew = True
-            elif b_banned:
-                forced.add(a)
-                grew = True
-            else:
-                remaining.append((a, b))
-        pending = remaining
-        if not grew:
-            break
-    sub_left = tuple(sorted({a for a, _ in pending} & left_set))
-    sub_right = tuple(sorted({b for _, b in pending}))
-    value, _ = _solve_bipartite_cover(sub_left, sub_right, pending, weight)
-    return sum(weight[v] for v in forced) + value
-
-
-def min_weight_bipartite_vertex_cover(
-    left: Iterable[int],
-    right: Iterable[int],
-    cross_edges: Iterable[tuple[int, int]],
-    weights: Mapping[int, int],
-) -> tuple[int, ...]:
-    """Minimum-weight vertex cover of a bipartite graph, by max-flow.
-
-    Ties between equal-weight covers are broken toward the lexicographically
-    smallest sorted vertex tuple, realized by fixing vertices one at a time
-    and re-solving the constrained flow.
-    """
-    ltup = tuple(sorted(set(left)))
-    rtup = tuple(sorted(set(right)))
-    lset, rset = frozenset(ltup), frozenset(rtup)
-    if lset & rset:
-        raise PreconditionError("left and right sides must be disjoint")
-    weight = {}
-    for v in ltup + rtup:
-        w = weights[v]
-        if not isinstance(w, int) or w < 1:
-            raise PreconditionError(f"weight of vertex {v} must be a positive integer")
-        weight[v] = w
-    edges: list[tuple[int, int]] = []
-    seen = set()
-    for a, b in cross_edges:
-        if a in rset and b in lset:
-            a, b = b, a
-        if a not in lset or b not in rset:
-            raise PreconditionError(f"edge {a}-{b} does not cross the bipartition")
-        if (a, b) not in seen:
-            seen.add((a, b))
-            edges.append((a, b))
-
-    best = _constrained_cover_weight(lset, edges, weight, set(), set())
-    assert best is not None
-    chosen: set[int] = set()
-    banned: set[int] = set()
-    for v in sorted(ltup + rtup):
-        if sum(weight[u] for u in chosen) == best and all(
-            a in chosen or b in chosen for a, b in edges
-        ):
-            break
-        trial = _constrained_cover_weight(lset, edges, weight, set(chosen) | {v}, banned)
-        if trial == best:
-            chosen.add(v)
-        else:
-            banned.add(v)
-    result = tuple(sorted(chosen))
-    if any(a not in chosen and b not in chosen for a, b in edges):
-        raise InternalInvariantError("greedy cover selection missed an edge")
-    if sum(weight[v] for v in result) != best:
-        raise InternalInvariantError("greedy cover weight drifted from the optimum")
-    return result
 
 
 def min_vertex_separator(

@@ -19,8 +19,7 @@ instead of any kind of cycle enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 
 class GraphError(ValueError):
@@ -180,27 +179,6 @@ def check_vertices(g: Graph, ids: Iterable[int]) -> int:
     return m
 
 
-class InducedSubgraph(NamedTuple):
-    """An induced subgraph together with the bijection back to the parent.
-
-    ``original_ids[i - 1]`` is the parent id of vertex ``i`` of ``graph``.
-    """
-
-    graph: Graph
-    original_ids: tuple[int, ...]
-
-
-def induced_subgraph(g: Graph, x: Iterable[int]) -> InducedSubgraph:
-    """Return ``G[x]`` with vertices renamed to ``1..|x|`` in ascending id order."""
-    xs = ids_of(check_vertices(g, x))
-    index = {v: i + 1 for i, v in enumerate(xs)}
-    edges = [
-        (index[u], index[v]) for (u, v) in g.edges if u in index and v in index
-    ]
-    weights = {index[v]: g.weight(v) for v in xs}
-    return InducedSubgraph(Graph(len(xs), edges, weights), xs)
-
-
 def neighborhood(g: Graph, x: Iterable[int], closed: bool = False) -> tuple[int, ...]:
     """Open neighborhood ``N(x)`` of a vertex set, or ``N[x]`` when closed."""
     xm = check_vertices(g, x)
@@ -208,73 +186,6 @@ def neighborhood(g: Graph, x: Iterable[int], closed: bool = False) -> tuple[int,
     for v in _bits(xm):
         nm |= g._adj[v]
     return ids_of(nm | xm if closed else nm & ~xm)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Biconnected components of a graph.
-
-    ``blocks`` lists every block as a sorted vertex tuple, ordered by smallest
-    contained vertex (full tuple order breaks ties).  A block with exactly two
-    vertices is a bridge; those edges are repeated in ``bridges``.  Isolated
-    vertices belong to no block.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    bridges: frozenset[tuple[int, int]]
-
-
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Biconnected components via the classic low-link DFS, iteratively."""
-    n = g.n
-    disc = [0] * (n + 1)
-    low = [0] * (n + 1)
-    nbrs = [()] + [g.neighbors(v) for v in range(1, n + 1)]
-    blocks: list[tuple[int, ...]] = []
-    timer = 1
-    for root in range(1, n + 1):
-        if disc[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        estack: list[tuple[int, int]] = []
-        dfs: list[list[int]] = [[root, 0, 0]]  # vertex, parent, next neighbor index
-        while dfs:
-            frame = dfs[-1]
-            v, p, i = frame
-            if i < len(nbrs[v]):
-                frame[2] = i + 1
-                u = nbrs[v][i]
-                if u == p:
-                    # the tree edge to the parent; a simple graph has no second copy
-                    frame[1] = 0
-                    continue
-                if not disc[u]:
-                    estack.append((v, u))
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    dfs.append([u, v, 0])
-                elif disc[u] < disc[v]:
-                    estack.append((v, u))
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-            else:
-                dfs.pop()
-                if dfs:
-                    pv = dfs[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if low[v] >= disc[pv]:
-                        verts: set[int] = set()
-                        while True:
-                            e = estack.pop()
-                            verts.update(e)
-                            if e == (pv, v):
-                                break
-                        blocks.append(tuple(sorted(verts)))
-    blocks.sort()
-    bridges = frozenset(b for b in blocks if len(b) == 2)
-    return BlockDecomposition(tuple(blocks), bridges)
 
 
 def _s_cycle_free(adj, kept: int, s_mask: int) -> bool:
@@ -415,34 +326,3 @@ def independence_at_most(g: Graph, d: int) -> bool:
         raise PreconditionError(f"d must be >= 1, got {d}")
     return find_independent_set(g, d + 1) is None
 
-
-def max_independent_set(g: Graph) -> tuple[int, ...]:
-    """A maximum independent set, lexicographically smallest among the ties."""
-    adj = g._adj
-    memo: dict[int, int] = {0: 0}
-
-    def best(allowed: int) -> int:
-        res = memo.get(allowed)
-        if res is not None:
-            return res
-        b = allowed & -allowed
-        v = b.bit_length() - 1
-        res = max(best(allowed ^ b), 1 + best(allowed & ~adj[v] & ~b))
-        memo[allowed] = res
-        return res
-
-    full = g.vertex_mask()
-    need = best(full)
-    chosen: list[int] = []
-    allowed = full
-    for v in range(1, g.n + 1):
-        if need == 0:
-            break
-        if not allowed >> v & 1:
-            continue
-        rest = allowed & ~adj[v] & ~((1 << (v + 1)) - 1)
-        if 1 + best(rest) == need:
-            chosen.append(v)
-            need -= 1
-            allowed = rest
-    return tuple(chosen)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .flow import min_vertex_separator
+from .flow import _solve_bipartite_cover
 from .graph import (
     Graph,
     InternalInvariantError,
@@ -52,25 +52,36 @@ def solve_nmc_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     """Node multiway cut (terminals protected) for alpha(G) <= 2.
 
     Adjacent terminals make the instance infeasible outright.  Otherwise the
-    terminal set is independent, hence has at most two members, and a minimum
-    vertex separator with both terminals protected is optimal.  The problem is
-    a cardinality one, so the separator runs on unit capacities.
+    terminal set is independent, hence has at most two members t1 and t2,
+    and every other vertex sees t1 or t2 (else the three would be
+    independent).  Every cut removes the common neighbours C = N(t1) & N(t2).
+    The rest of the two neighbourhoods, A = N(t1) - C and B = N(t2) - C, is
+    joined only by A-B edges, so the optimum is C plus a minimum vertex cover
+    of the bipartite graph between A and B.  Giving vertex v the cover weight
+    2^(n+1) - 2^(n-v) makes cardinality dominate and the lowest differing
+    vertex break ties, so the one minimum cover is the canonical one.
     """
     require_alpha(g, 2)
     tm = check_vertices(g, t)
+    adj = g._adj
     for v in _bits(tm):
-        if g._adj[v] & tm:
+        if adj[v] & tm:
             return Solution((), None, False)
     terms = ids_of(tm)
     if len(terms) <= 1:
         return Solution((), 0, True)
-    unit = Graph(g.n, g.edges)
-    sep = min_vertex_separator(unit, terms[:1], terms[1:])
-    if sep is None:
-        raise InternalInvariantError("non-adjacent terminals cannot be inseparable")
-    if not check_multiway(g, terms, sep, deletable=False):
-        raise InternalInvariantError("separator failed the multiway recheck")
-    return Solution(sep, len(sep), True)
+    t1, t2 = terms
+    common = adj[t1] & adj[t2]
+    a = adj[t1] & ~common
+    b = adj[t2] & ~common
+    edges = [(u, v) for u in _bits(a) for v in _bits(adj[u] & b)]
+    n = g.n
+    weight = {v: (1 << (n + 1)) - (1 << (n - v)) for v in _bits(a | b)}
+    _, cover = _solve_bipartite_cover(ids_of(a), ids_of(b), edges, weight)
+    removed = ids_of(common | mask_of(cover))
+    if not check_multiway(g, terms, removed, deletable=False):
+        raise InternalInvariantError("cut failed the multiway recheck")
+    return Solution(removed, len(removed), True)
 
 
 def _smallest_cut(

@@ -23,6 +23,7 @@ from .graph import (
     _bits,
     _s_cycle_free,
     check_vertices,
+    components_of_mask,
     ids_of,
 )
 
@@ -84,22 +85,7 @@ class Solution:
 
 def _terminals_separated(g: Graph, kept: int, terms: int) -> bool:
     """Every connected component of G[kept] contains at most one terminal."""
-    adj = g._adj
-    todo = kept
-    while todo:
-        b = todo & -todo
-        comp = b
-        frontier = b
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & kept & ~comp
-            comp |= frontier
-        if (comp & terms).bit_count() > 1:
-            return False
-        todo &= ~comp
-    return True
+    return all((comp & terms).bit_count() <= 1 for comp in components_of_mask(g, kept))
 
 
 def feasible_removed(inst: ProblemInstance, removed: tuple[int, ...] | int) -> bool:

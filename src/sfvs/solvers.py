@@ -25,7 +25,6 @@ lexicographically smallest removed set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -39,56 +38,31 @@ from .graph import (
     check_vertices,
     components_of_mask,
     ids_of,
-    induced_subgraph,
     mask_of,
     require_alpha,
 )
 from .oracle import Solution
 
 
-@dataclass(frozen=True)
-class SDistancePartition:
-    """A candidate S-forest split into its near layer and far components.
-
-    ``s1`` is the near layer (the candidate closed neighborhood of the kept
-    S-vertices), ``kept_s = s1 & S``, and each far component induces a
-    connected subgraph none of whose vertices touches ``kept_s``.
-    """
-
-    s1: tuple[int, ...]
-    kept_s: tuple[int, ...]
-    far_components: tuple[tuple[int, ...], ...]
-
-    def kept_vertices(self) -> tuple[int, ...]:
-        out = set(self.s1)
-        for comp in self.far_components:
-            out.update(comp)
-        return tuple(sorted(out))
-
-
 # -- near-layer candidate enumeration ----------------------------------------
 
 
-def enumerate_s1_candidates(
-    g: Graph, s: Iterable[int], d: int, loose_bounds: bool = False
-) -> Iterator[tuple[int, ...]]:
+def enumerate_s1_candidates(g: Graph, s: Iterable[int], d: int) -> Iterator[tuple[int, ...]]:
     """Yield every candidate near layer X subject to the size bounds.
 
     A candidate satisfies: |X & S| <= 2d; X \\ S lies inside N(X & S); G[X] is
     an S-forest; and |X| <= 4d - 2 when |X & S| <= 2d - 2, |X| <= 2d
-    otherwise.  With ``loose_bounds`` the single bound |X| <= 4d is used
-    instead (useful for differential testing).  The empty candidate is always
-    yielded first; the no-surviving-S case is handled by the caller's
-    baseline.
+    otherwise.  The empty candidate is always yielded first; the
+    no-surviving-S case is handled by the caller's baseline.
     """
     if d < 1:
         raise PreconditionError(f"d must be >= 1, got {d}")
     s_mask = check_vertices(g, s)
     require_alpha(g, d)
-    return (ids_of(x) for x in _s1_candidates(g, s_mask, d, loose_bounds))
+    return (ids_of(x) for x in _s1_candidates(g, s_mask, d))
 
 
-def _s1_candidates(g: Graph, s_mask: int, d: int, loose_bounds: bool) -> Iterator[int]:
+def _s1_candidates(g: Graph, s_mask: int, d: int) -> Iterator[int]:
     """The candidates of ``enumerate_s1_candidates`` as masks."""
     adj = g._adj
     yield 0
@@ -115,10 +89,7 @@ def _s1_candidates(g: Graph, s_mask: int, d: int, loose_bounds: bool) -> Iterato
                 continue
             m2 = sp_mask | (1 << s_ids[i])
             cnt2 = count + 1
-            if loose_bounds:
-                cap = 4 * d
-            else:
-                cap = 4 * d - 2 if cnt2 <= 2 * d - 2 else 2 * d
+            cap = 4 * d - 2 if cnt2 <= 2 * d - 2 else 2 * d
             nm = 0
             for v in _bits(m2):
                 nm |= adj[v]
@@ -130,30 +101,7 @@ def _s1_candidates(g: Graph, s_mask: int, d: int, loose_bounds: bool) -> Iterato
     yield from grow_s(0, 0, 0)
 
 
-# -- hat graphs and budget tuples ---------------------------------------------
-
-
-def build_hat_graph(g: Graph, x: Iterable[int], parts: Sequence[Iterable[int]]) -> Graph:
-    """G[x] plus one fresh proxy vertex per part, adjacent to exactly that part.
-
-    Vertices ``1..len(x)`` are the members of ``x`` in ascending order; proxy
-    vertex ``j`` gets id ``len(x) + j``.  Proxies carry weight 1 and are never
-    S-vertices; callers are expected to keep parts inside ``x \\ S``.
-    """
-    x_mask = check_vertices(g, x)
-    xs = ids_of(x_mask)
-    index = {v: i + 1 for i, v in enumerate(xs)}
-    base, _ = induced_subgraph(g, xs)
-    edges = list(base.edges)
-    for j, part in enumerate(parts):
-        pm = check_vertices(g, part)
-        if pm & ~x_mask:
-            raise PreconditionError("tuple part is not a subset of x")
-        hat = len(xs) + j + 1
-        for v in _bits(pm):
-            edges.append((index[v], hat))
-    weights = {index[v]: g.weight(v) for v in xs}
-    return Graph(len(xs) + len(parts), edges, weights)
+# -- hat tests and valid single budget sets ---------------------------------
 
 
 def _hat_ok(base: Sequence[int], x_mask: int, s_mask: int, parts: Sequence[int]) -> bool:
@@ -198,41 +146,6 @@ def _valid_single_parts(base: Sequence[int], x_mask: int, s_mask: int) -> list[i
     return valids
 
 
-def enumerate_valid_tuples(
-    g: Graph, x: Iterable[int], s: Iterable[int], d_prime_max: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every budget tuple of arity 0..d_prime_max that passes the hat test.
-
-    Parts are subsets of ``x \\ s``; a tuple qualifies when the hat graph with
-    one proxy vertex per part is still an S-forest.
-    """
-    x_mask = check_vertices(g, x)
-    s_mask = check_vertices(g, s)
-    if not _s_cycle_free(g._adj, x_mask, s_mask):
-        raise PreconditionError("G[x] must be an S-forest")
-    return _valid_tuples(g, x_mask, s_mask, d_prime_max)
-
-
-def _valid_tuples(
-    g: Graph, x_mask: int, s_mask: int, d_prime_max: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    base = [m & x_mask for m in g._adj]
-    singles = _valid_single_parts(base, x_mask, s_mask)
-    yield ()
-
-    def grow(prefix: tuple[int, ...]):
-        for a in singles:
-            cand = prefix + (a,)
-            if len(cand) > 1 and not _hat_ok(base, x_mask, s_mask, cand):
-                continue
-            yield tuple(ids_of(m) for m in cand)
-            if len(cand) < d_prime_max:
-                yield from grow(cand)
-
-    if d_prime_max >= 1:
-        yield from grow(())
-
-
 # -- admissible far vertices and the two completion cases --------------------
 
 
@@ -250,16 +163,6 @@ def _b_mask(g: Graph, x_mask: int, s_mask: int, a_mask: int) -> int:
         if adj[v] & x_mask & ~a_mask == 0:
             out |= 1 << v
     return out
-
-
-def b_set(g: Graph, x: Iterable[int], s: Iterable[int], a: Iterable[int]) -> tuple[int, ...]:
-    """Public view of the admissible far-vertex set for one budget set."""
-    x_mask = check_vertices(g, x)
-    s_mask = check_vertices(g, s)
-    a_mask = check_vertices(g, a)
-    if a_mask & ~(x_mask & ~s_mask):
-        raise PreconditionError("a must be a subset of x \\ s")
-    return ids_of(_b_mask(g, x_mask, s_mask, a_mask))
 
 
 def _beats(weight: int, kept: int, best_weight: int, best_kept: int) -> bool:
@@ -346,48 +249,6 @@ def _case_a1a2(
     return best
 
 
-def _partition_from(g: Graph, s_mask: int, x_mask: int, far: Sequence[int]) -> SDistancePartition:
-    return SDistancePartition(
-        s1=ids_of(x_mask),
-        kept_s=ids_of(x_mask & s_mask),
-        far_components=tuple(ids_of(c) for c in far if c),
-    )
-
-
-def solve_case_a1(
-    g: Graph, s: Iterable[int], x: Iterable[int], a1: Iterable[int]
-) -> SDistancePartition:
-    """Maximum S-forest whose far part is one component respecting budget a1."""
-    s_mask = check_vertices(g, s)
-    x_mask = check_vertices(g, x)
-    a_mask = check_vertices(g, a1)
-    kept, comp = _case_a1(g, x_mask, _b_mask(g, x_mask, s_mask, a_mask))
-    if not _s_cycle_free(g._adj, kept, s_mask):
-        raise InternalInvariantError("single-component completion produced an S-cycle")
-    return _partition_from(g, s_mask, x_mask, (comp,))
-
-
-def solve_case_a1a2(
-    g: Graph,
-    s: Iterable[int],
-    x: Iterable[int],
-    a1: Iterable[int],
-    a2: Iterable[int],
-) -> SDistancePartition | None:
-    """Maximum S-forest with two far components respecting budgets (a1, a2)."""
-    s_mask = check_vertices(g, s)
-    x_mask = check_vertices(g, x)
-    if not x_mask & s_mask:
-        raise PreconditionError("the two-component case needs a surviving S-vertex in x")
-    b1 = _b_mask(g, x_mask, s_mask, check_vertices(g, a1))
-    b2 = _b_mask(g, x_mask, s_mask, check_vertices(g, a2))
-    res = _case_a1a2(g, x_mask, s_mask, b1, b2)
-    if res is None:
-        return None
-    _, c1, c2 = res
-    return _partition_from(g, s_mask, x_mask, (c1, c2))
-
-
 # -- the two top-level solvers ------------------------------------------------
 
 
@@ -416,7 +277,7 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
         if _beats(weight, kept, best_weight, best_kept):
             best_kept, best_weight = kept, weight
 
-    for x_mask in _s1_candidates(g, s_mask, 3, False):
+    for x_mask in _s1_candidates(g, s_mask, 3):
         if not x_mask:
             continue
         consider(x_mask)  # empty tuple: the forest is G[x] itself

@@ -14,7 +14,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from sfvs import Graph, independence_at_most
+from sfvs import Graph, PreconditionError, independence_at_most
 
 
 def complete_graph(n: int, weights=None) -> Graph:
@@ -107,6 +107,57 @@ def naive_is_s_forest(g: Graph, x, s) -> bool:
             if len(seen) == size:
                 return False
     return True
+
+
+def max_independent_set(g: Graph) -> tuple[int, ...]:
+    """A maximum independent set, lexicographically smallest among the ties."""
+    adj = g._adj
+    memo: dict[int, int] = {0: 0}
+
+    def best(allowed: int) -> int:
+        res = memo.get(allowed)
+        if res is not None:
+            return res
+        b = allowed & -allowed
+        v = b.bit_length() - 1
+        res = max(best(allowed ^ b), 1 + best(allowed & ~adj[v] & ~b))
+        memo[allowed] = res
+        return res
+
+    full = g.vertex_mask()
+    need = best(full)
+    chosen: list[int] = []
+    allowed = full
+    for v in range(1, g.n + 1):
+        if need == 0:
+            break
+        if not allowed >> v & 1:
+            continue
+        rest = allowed & ~adj[v] & ~((1 << (v + 1)) - 1)
+        if 1 + best(rest) == need:
+            chosen.append(v)
+            need -= 1
+            allowed = rest
+    return tuple(chosen)
+
+
+def build_hat_graph(g: Graph, x, parts) -> Graph:
+    """G[x] plus one fresh proxy vertex per part, adjacent to exactly that part.
+
+    The materialised twin of ``sfvs.solvers._hat_ok``.  Vertices
+    ``1..len(x)`` are the members of ``x`` in ascending order; proxy vertex
+    ``j`` gets id ``len(x) + j``.  Proxies carry weight 1 and are never
+    S-vertices.
+    """
+    xs = sorted(set(x))
+    index = {v: i + 1 for i, v in enumerate(xs)}
+    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    for j, part in enumerate(parts):
+        if not set(part) <= set(xs):
+            raise PreconditionError("tuple part is not a subset of x")
+        edges += [(index[v], len(xs) + j + 1) for v in part]
+    weights = {index[v]: g.weight(v) for v in xs}
+    return Graph(len(xs) + len(parts), edges, weights)
 
 
 def brute_bipartite_cover_weight(left, right, edges, weights) -> int:

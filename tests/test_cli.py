@@ -45,6 +45,14 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["feasible"] is False and doc["objective"] is None
 
+    def test_nmc_ties_go_to_the_lowest_vertex(self, tmp_path, capsys):
+        # path 1-4-3-2 with T = {1, 2}: [3] and [4] both cut it, [3] is canonical
+        path = write(tmp_path, "p4.txt", "p nmc 4 3\ne 1 4\ne 4 3\ne 3 2\nset 1 2\n")
+        code, out = run(capsys, "solve", "--algo", "nmc-a2", "--input", path, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["removed"] == [3] and doc["objective"] == 1
+
     def test_alpha_violation_exits_three_and_names_a_witness(self, tmp_path, capsys):
         path = write(tmp_path, "a4.txt", "p wsfvs 4 0\nset 1\n")
         code = main(["solve", "--algo", "wsfvs-a3", "--input", path])

@@ -9,8 +9,8 @@ from sfvs import (
     UnboundedFlowError,
     max_flow,
     min_vertex_separator,
-    min_weight_bipartite_vertex_cover,
 )
+from sfvs.flow import _solve_bipartite_cover
 
 from conftest import (
     brute_bipartite_cover_weight,
@@ -82,48 +82,27 @@ class TestMaxFlow:
 
 class TestBipartiteCover:
     def test_no_edges_empty_cover(self):
-        assert min_weight_bipartite_vertex_cover([1, 2], [3], [], {1: 1, 2: 1, 3: 1}) == ()
+        assert _solve_bipartite_cover((1, 2), (3,), [], {1: 1, 2: 1, 3: 1}) == (0, ())
 
     def test_single_edge_picks_cheap_endpoint(self):
-        assert min_weight_bipartite_vertex_cover([1], [2], [(1, 2)], {1: 1, 2: 5}) == (1,)
+        assert _solve_bipartite_cover((1,), (2,), [(1, 2)], {1: 1, 2: 5}) == (1, (1,))
 
     def test_star_center_beats_leaves(self):
-        got = min_weight_bipartite_vertex_cover(
-            [1, 2], [3], [(1, 3), (2, 3)], {1: 2, 2: 2, 3: 3}
-        )
-        assert got == (3,)
-
-    def test_lex_tie_break_prefers_small_ids(self):
-        # both endpoints weigh the same; the cover {1} wins over {2}
-        assert min_weight_bipartite_vertex_cover([1], [2], [(1, 2)], {1: 3, 2: 3}) == (1,)
-
-    def test_lex_tie_break_prefers_containing_small_vertex(self):
-        # covers {1, 4} and {4} both weigh 2; sorted-tuple order prefers (1, 4)
-        got = min_weight_bipartite_vertex_cover(
-            [1, 4], [5], [(1, 5), (4, 5)], {1: 1, 4: 1, 5: 2}
-        )
-        assert got == (1, 4)
-
-    def test_sides_must_be_disjoint(self):
-        with pytest.raises(PreconditionError):
-            min_weight_bipartite_vertex_cover([1], [1], [], {1: 1})
-
-    def test_edges_must_cross(self):
-        with pytest.raises(PreconditionError):
-            min_weight_bipartite_vertex_cover([1, 2], [3], [(1, 2)], {1: 1, 2: 1, 3: 1})
+        got = _solve_bipartite_cover((1, 2), (3,), [(1, 3), (2, 3)], {1: 2, 2: 2, 3: 3})
+        assert got == (3, (3,))
 
     def test_matches_brute_force_and_is_minimal(self, rng):
         for _ in range(250):
             nl, nr = rng.randint(0, 6), rng.randint(0, 6)
-            left = list(range(1, nl + 1))
-            right = list(range(nl + 1, nl + nr + 1))
+            left = tuple(range(1, nl + 1))
+            right = tuple(range(nl + 1, nl + nr + 1))
             edges = [(a, b) for a in left for b in right if rng.random() < 0.4]
             weights = {v: rng.randint(1, 9) for v in left + right}
-            got = min_weight_bipartite_vertex_cover(left, right, edges, weights)
+            value, got = _solve_bipartite_cover(left, right, edges, weights)
             got_set = set(got)
             assert all(a in got_set or b in got_set for a, b in edges)
             want = brute_bipartite_cover_weight(left, right, edges, weights)
-            assert sum(weights[v] for v in got) == want
+            assert sum(weights[v] for v in got) == value == want
             # positive weights make optimal covers minimal; check anyway
             for v in got:
                 rest = got_set - {v}

@@ -7,19 +7,18 @@ import pytest
 from sfvs import (
     Graph,
     GraphError,
-    block_decomposition,
     find_independent_set,
     independence_at_most,
-    induced_subgraph,
     is_s_forest,
-    max_independent_set,
     neighborhood,
 )
 
 from conftest import (
     atlas_graphs,
+    build_hat_graph,
     complete_graph,
     cycle_graph,
+    max_independent_set,
     naive_is_s_forest,
     path_graph,
     random_graph,
@@ -51,26 +50,23 @@ class TestConstruction:
 
 
 class TestInducedSubgraph:
+    """The base of the hat-graph reference: with no parts it is G[x]."""
+
     def test_identity_on_k3(self):
         k3 = complete_graph(3)
-        sub, back = induced_subgraph(k3, [1, 2, 3])
-        assert sub == k3
-        assert back == (1, 2, 3)
+        assert build_hat_graph(k3, [1, 2, 3], ()) == k3
 
     def test_k3_two_vertices_is_an_edge(self):
-        sub, back = induced_subgraph(complete_graph(3), [1, 2])
+        sub = build_hat_graph(complete_graph(3), [1, 2], ())
         assert sub.n == 2 and sub.edges == frozenset({(1, 2)})
-        assert back == (1, 2)
 
     def test_p4_endpoints_are_isolated(self):
-        sub, back = induced_subgraph(path_graph(4), [1, 3])
+        sub = build_hat_graph(path_graph(4), [1, 3], ())
         assert sub.n == 2 and not sub.edges
-        assert back == (1, 3)
 
     def test_weights_follow_the_bijection(self):
         g = path_graph(3, weights={1: 5, 2: 7, 3: 9})
-        sub, back = induced_subgraph(g, [2, 3])
-        assert back == (2, 3)
+        sub = build_hat_graph(g, [2, 3], ())
         assert (sub.weight(1), sub.weight(2)) == (7, 9)
 
 
@@ -87,38 +83,36 @@ class TestNeighborhood:
 
 
 class TestBlocks:
+    """The S-forest DFS against biconnected blocks: a vertex lies on a cycle
+    of G[x] iff it belongs to a block of G[x] with three or more vertices."""
+
     def test_path_gives_two_bridges(self):
-        dec = block_decomposition(path_graph(3))
-        assert dec.blocks == ((1, 2), (2, 3))
-        assert dec.bridges == frozenset({(1, 2), (2, 3)})
+        g = path_graph(3)
+        assert is_s_forest(g, g.vertices(), g.vertices())
 
     def test_k4_is_one_block(self):
-        dec = block_decomposition(complete_graph(4))
-        assert dec.blocks == ((1, 2, 3, 4),)
-        assert not dec.bridges
+        g = complete_graph(4)
+        assert not any(is_s_forest(g, g.vertices(), [v]) for v in g.vertices())
 
     def test_two_triangles_sharing_a_vertex(self):
         g = Graph(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)])
-        dec = block_decomposition(g)
-        assert dec.blocks == ((1, 2, 3), (3, 4, 5))
-
-    def test_every_edge_in_exactly_one_block(self, rng):
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(1, 9), rng.random())
-            dec = block_decomposition(g)
-            counted = [e for b in dec.blocks for e in g.edges if set(e) <= set(b)]
-            assert sorted(counted) == sorted(g.edges)
+        assert not any(is_s_forest(g, g.vertices(), [v]) for v in g.vertices())
+        assert is_s_forest(g, [1, 2, 4, 5], [1, 2, 4, 5])
 
     def test_agrees_with_networkx(self, rng):
         for _ in range(80):
-            g = random_graph(rng, rng.randint(1, 10), rng.random())
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n, rng.random())
+            x = random_subset(rng, n, 0.8)
             G = nx.Graph()
-            G.add_nodes_from(g.vertices())
-            G.add_edges_from(g.edges)
-            want = sorted(
-                tuple(sorted(c)) for c in nx.biconnected_components(G) if len(c) > 1
-            )
-            assert list(block_decomposition(g).blocks) == want
+            G.add_nodes_from(x)
+            G.add_edges_from((u, v) for u, v in g.edges if u in x and v in x)
+            on_cycle = set()
+            for block in nx.biconnected_components(G):
+                if len(block) > 2:
+                    on_cycle |= block
+            for v in x:
+                assert is_s_forest(g, x, [v]) == (v not in on_cycle), (g.edges, x, v)
 
 
 class TestSForest:

@@ -6,6 +6,7 @@ from sfvs import (
     PreconditionError,
     ProblemInstance,
     check_multiway,
+    min_vertex_separator,
     oracle_solve,
     solve_nmc_alpha2,
     solve_nmcdt_xp,
@@ -52,10 +53,31 @@ class TestNmcAlpha2:
             t = random_subset(rng, n, rng.choice([0.2, 0.4]))
             got = solve_nmc_alpha2(g, t)
             want = oracle_solve(ProblemInstance(g, "nmc", t))
-            assert got.feasible == want.feasible
-            assert got.objective == want.objective
+            assert got == want, (g.edges, t)
             if got.feasible:
                 assert check_multiway(g, t, got.removed, deletable=False)
+
+    def test_p4_ties_go_to_the_lowest_vertex(self):
+        # path 1-4-3-2: cutting 4 or 3 both separate 1 from 2; [3] is canonical
+        sol = solve_nmc_alpha2(Graph(4, [(1, 4), (4, 3), (3, 2)]), [1, 2])
+        assert sol.removed == (3,) and sol.objective == 1
+
+    def test_size_matches_a_flow_separator_past_the_oracle_guard(self, rng):
+        checked = 0
+        for _ in range(40):
+            n = rng.randint(30, 60)
+            g = random_bounded_alpha(rng, n, 2, rng.choice([0.3, 0.6]))
+            apart = [(u, v) for u in range(1, n + 1, 2) for v in range(2, n + 1, 2)
+                     if not g.has_edge(u, v)]
+            if not apart:
+                continue
+            t = rng.choice(apart)
+            got = solve_nmc_alpha2(g, t)
+            want = min_vertex_separator(g, t[:1], t[1:])
+            assert got.objective == len(want), (g.edges, t)
+            assert check_multiway(g, t, got.removed, deletable=False)
+            checked += 1
+        assert checked > 30
 
 
 class TestNmcdtXP:
@@ -105,7 +127,7 @@ class TestWeightedNmcdtAlpha2:
             t = random_subset(rng, n, rng.choice([0.4, 0.7]))
             got = solve_wnmcdt_alpha2(g, t)
             want = oracle_solve(ProblemInstance(g, "wnmcdt", t))
-            assert got.objective == want.objective, (g.edges, t)
+            assert got == want, (g.edges, t)
             assert check_multiway(g, t, got.removed, deletable=True)
             # the apex helper vertex must never leak into the answer
             assert all(v <= g.n for v in got.removed)

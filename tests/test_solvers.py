@@ -8,24 +8,19 @@ from sfvs import (
     Graph,
     PreconditionError,
     ProblemInstance,
-    b_set,
-    build_hat_graph,
     enumerate_s1_candidates,
-    enumerate_valid_tuples,
     is_s_forest,
     neighborhood,
     oracle_solve,
-    solve_case_a1,
-    solve_case_a1a2,
     solve_sfvs_xp,
     solve_wnmcdt_alpha2,
     solve_wsfvs_alpha3,
 )
 from sfvs.generate import generate_instance
-from sfvs.graph import ids_of
-from sfvs.solvers import _beats
+from sfvs.graph import ids_of, mask_of
+from sfvs.solvers import _b_mask, _beats, _case_a1, _case_a1a2, _hat_ok, _valid_single_parts
 
-from conftest import complete_graph, random_bounded_alpha, random_subset
+from conftest import build_hat_graph, complete_graph, random_bounded_alpha, random_subset
 
 
 def true_near_layer(g: Graph, kept, s) -> tuple[int, ...]:
@@ -90,15 +85,6 @@ class TestCandidateEnumeration:
             cands = set(enumerate_s1_candidates(g, s, 3))
             assert layer in cands, (g.edges, s, best, layer)
 
-    def test_loose_bounds_cover_at_least_as_much(self, rng):
-        for _ in range(15):
-            n = rng.randint(1, 7)
-            g = random_bounded_alpha(rng, n, 3, 0.4)
-            s = random_subset(rng, n, 0.5)
-            tight = set(enumerate_s1_candidates(g, s, 3))
-            loose = set(enumerate_s1_candidates(g, s, 3, loose_bounds=True))
-            assert tight <= loose
-
 
 class TestHatGraph:
     def test_empty_tuple_is_plain_induced_subgraph(self):
@@ -124,22 +110,36 @@ class TestHatGraph:
             build_hat_graph(complete_graph(3), [1, 2], [(3,)])
 
 
+def _singles(g, x, s):
+    """The valid single budget sets of candidate x, as id tuples."""
+    x_mask, s_mask = mask_of(x), mask_of(s)
+    base = [m & x_mask for m in g._adj]
+    return [ids_of(a) for a in _valid_single_parts(base, x_mask, s_mask)]
+
+
+def _pair_ok(g, x, s, p1, p2):
+    x_mask = mask_of(x)
+    base = [m & x_mask for m in g._adj]
+    return _hat_ok(base, x_mask, mask_of(s), (mask_of(p1), mask_of(p2)))
+
+
 class TestTupleEnumeration:
     def test_no_free_vertices_means_only_empty_parts(self):
         g = Graph(1)
-        tuples = list(enumerate_valid_tuples(g, [1], [1], 2))
-        assert tuples == [(), ((),), ((), ())]
+        assert _singles(g, [1], [1]) == [()]
+        assert _pair_ok(g, [1], [1], (), ())
 
     def test_path_edge_all_pass(self):
         g = Graph(2, [(1, 2)])
-        tuples = set(enumerate_valid_tuples(g, [1, 2], [1], 2))
-        assert ((2,),) in tuples and ((), (2,)) in tuples and ((2,), (2,)) in tuples
+        assert _singles(g, [1, 2], [1]) == [(), (2,)]
+        assert _pair_ok(g, [1, 2], [1], (), (2,))
+        assert _pair_ok(g, [1, 2], [1], (2,), (2,))
 
     def test_star_rejects_the_double_budget(self):
         g = Graph(3, [(1, 2), (1, 3)])
-        tuples = set(enumerate_valid_tuples(g, [1, 2, 3], [1], 1))
-        assert ((2,),) in tuples and ((3,),) in tuples
-        assert ((2, 3),) not in tuples
+        singles = _singles(g, [1, 2, 3], [1])
+        assert (2,) in singles and (3,) in singles
+        assert (2, 3) not in singles
 
     def test_matches_hat_graph_definition(self, rng):
         for _ in range(25):
@@ -149,14 +149,18 @@ class TestTupleEnumeration:
             xs = [x for x in enumerate_s1_candidates(g, s, 3) if x]
             for x in xs[:4]:
                 free = tuple(v for v in x if v not in s)
-                got = set(enumerate_valid_tuples(g, x, s, 2))
+                singles = _singles(g, x, s)
+                got = {(p1,) for p1 in singles}
+                got |= {
+                    (p1, p2) for p1 in singles for p2 in singles
+                    if _pair_ok(g, x, s, p1, p2)
+                }
                 want = set()
                 all_parts = [
                     tuple(sorted(sub))
                     for r in range(len(free) + 1)
                     for sub in combinations(free, r)
                 ]
-                want.add(())
                 for p1 in all_parts:
                     hat1 = build_hat_graph(g, x, (p1,))
                     if is_s_forest(hat1, hat1.vertices(), _remap(x, s)):
@@ -167,10 +171,6 @@ class TestTupleEnumeration:
                             want.add((p1, p2))
                 assert got == want, (g.edges, s, x)
 
-    def test_requires_an_s_forest(self):
-        with pytest.raises(PreconditionError):
-            list(enumerate_valid_tuples(complete_graph(3), [1, 2, 3], [1], 1))
-
 
 def _remap(x, s):
     """S-vertex positions after x is renumbered to 1..len(x)."""
@@ -178,21 +178,25 @@ def _remap(x, s):
     return [i + 1 for i, v in enumerate(xs) if v in set(s)]
 
 
+def _b_set(g, x, s, a):
+    return ids_of(_b_mask(g, mask_of(x), mask_of(s), mask_of(a)))
+
+
 class TestBSets:
     def test_neighbor_of_kept_s_vertex_is_excluded(self):
         # 3 sees the kept S-vertex 1, so it cannot sit in the far part
         g = Graph(3, [(1, 2), (1, 3)])
-        assert b_set(g, [1, 2], [1], []) == ()
-        assert b_set(g, [1, 2], [1], [2]) == ()
+        assert _b_set(g, [1, 2], [1], []) == ()
+        assert _b_set(g, [1, 2], [1], [2]) == ()
 
     def test_far_vertex_with_allowed_contact(self):
         g = Graph(3, [(1, 2), (2, 3)])
-        assert b_set(g, [1, 2], [1], [2]) == (3,)
-        assert b_set(g, [1, 2], [1], []) == ()
+        assert _b_set(g, [1, 2], [1], [2]) == (3,)
+        assert _b_set(g, [1, 2], [1], []) == ()
 
     def test_s_vertices_never_become_far(self):
         g = Graph(3, [(1, 2)])
-        assert b_set(g, [1, 2], [1, 3], [2]) == ()
+        assert _b_set(g, [1, 2], [1, 3], [2]) == ()
 
 
 class TestCompletionCases:
@@ -204,48 +208,51 @@ class TestCompletionCases:
             for x in enumerate_s1_candidates(g, s, 3):
                 if not set(x) & set(s):
                     continue
-                arities = 2 if pairs else 1
-                for parts in enumerate_valid_tuples(g, x, s, arities):
-                    if len(parts) == arities:
-                        yield g, s, x, parts
+                singles = _singles(g, x, s)
+                if not pairs:
+                    for a1 in singles:
+                        yield g, s, x, (a1,)
+                    continue
+                for a1 in singles:
+                    for a2 in singles:
+                        if _pair_ok(g, x, s, a1, a2):
+                            yield g, s, x, (a1, a2)
 
     def test_empty_b_set_gives_no_far_component(self):
         g = Graph(2, [(1, 2)])
-        part = solve_case_a1(g, [1], (1, 2), [])
-        assert part.far_components == ()
-        assert part.kept_vertices() == (1, 2)
+        assert _case_a1(g, mask_of((1, 2)), 0) == (mask_of((1, 2)), 0)
 
     def test_heavier_component_wins(self):
         # two candidate components behind budget vertex 2: {3} light, {4} heavy
         g = Graph(4, [(1, 2), (2, 3), (2, 4)], {3: 3, 4: 5})
-        part = solve_case_a1(g, [1], (1, 2), [2])
-        assert part.far_components == ((4,),)
+        x_mask = mask_of((1, 2))
+        b = _b_mask(g, x_mask, mask_of((1,)), mask_of((2,)))
+        assert _case_a1(g, x_mask, b) == (mask_of((1, 2, 4)), mask_of((4,)))
 
     def test_single_component_matches_brute_force(self, rng):
         for g, s, x, (a1,) in self._cells(rng, 12):
-            part = solve_case_a1(g, s, x, a1)
-            got = g.weight_of(part.kept_vertices())
+            x_mask, s_mask = mask_of(x), mask_of(s)
+            kept, _ = _case_a1(g, x_mask, _b_mask(g, x_mask, s_mask, mask_of(a1)))
             want = g.weight_of(x) + _best_far(g, s, x, [a1], want_components=1)
-            assert got == want, (g.edges, s, x, a1)
-            assert is_s_forest(g, part.kept_vertices(), s)
+            assert g.weight_of_mask(kept) == want, (g.edges, s, x, a1)
+            assert is_s_forest(g, ids_of(kept), s)
 
     def test_two_components_match_brute_force(self, rng):
         checked = 0
         for g, s, x, (a1, a2) in self._cells(rng, 14, pairs=True):
-            res = solve_case_a1a2(g, s, x, a1, a2)
+            x_mask, s_mask = mask_of(x), mask_of(s)
+            b1 = _b_mask(g, x_mask, s_mask, mask_of(a1))
+            b2 = _b_mask(g, x_mask, s_mask, mask_of(a2))
+            res = _case_a1a2(g, x_mask, s_mask, b1, b2)
             best = _best_far(g, s, x, [a1, a2], want_components=2)
             if res is None:
                 assert best == 0, (g.edges, s, x, a1, a2)
                 continue
-            got = g.weight_of(res.kept_vertices())
-            assert got == g.weight_of(x) + best, (g.edges, s, x, a1, a2)
-            assert is_s_forest(g, res.kept_vertices(), s)
+            kept = res[0]
+            assert g.weight_of_mask(kept) == g.weight_of(x) + best, (g.edges, s, x, a1, a2)
+            assert is_s_forest(g, ids_of(kept), s)
             checked += 1
         assert checked > 10
-
-    def test_pair_case_requires_surviving_s(self):
-        with pytest.raises(PreconditionError):
-            solve_case_a1a2(Graph(2, [(1, 2)]), [1], (2,), [], [])
 
 
 def _best_far(g, s, x, budgets, want_components):
