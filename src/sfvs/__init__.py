@@ -18,7 +18,6 @@ from .graph import (
     find_independent_set,
     independence_at_most,
     is_s_forest,
-    neighborhood,
 )
 from .multiway import (
     check_multiway,

@@ -179,15 +179,6 @@ def check_vertices(g: Graph, ids: Iterable[int]) -> int:
     return m
 
 
-def neighborhood(g: Graph, x: Iterable[int], closed: bool = False) -> tuple[int, ...]:
-    """Open neighborhood ``N(x)`` of a vertex set, or ``N[x]`` when closed."""
-    xm = check_vertices(g, x)
-    nm = 0
-    for v in _bits(xm):
-        nm |= g._adj[v]
-    return ids_of(nm | xm if closed else nm & ~xm)
-
-
 def _s_cycle_free(adj, kept: int, s_mask: int) -> bool:
     """True iff no cycle of the graph induced on ``kept`` meets ``s_mask``.
 

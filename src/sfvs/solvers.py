@@ -15,6 +15,19 @@ computed exactly: one far component means picking the heaviest component of
 the admissible vertices, two far components reduce to a minimum-weight vertex
 cover on a bipartite conflict graph.
 
+The hat tests and the growth of the candidates need no DFS, by the
+contracted-forest rule.  Let X be an S-forest and contract every component of
+G[X \\ S] to one "Y-node".  In an S-forest a path avoiding S and a path
+through S cannot join the same two non-S vertices: the symmetric difference
+of their edge sets is an even subgraph holding an edge at the S-vertex, so
+that edge would lie on a cycle.  Hence the contraction is a forest (a cycle
+or a double edge in it would lift to a cycle through S) in which no two
+Y-nodes are adjacent, and any path between two distinct Y-nodes passes
+through S.  So a new non-S vertex closes a cycle through S exactly when the
+nodes it touches (its Y-nodes and its S-neighbours) are not in distinct
+trees.  Per candidate X it suffices to know, for each vertex, its component
+in G[X \\ S] and in G[X].
+
 ``solve_sfvs_xp`` solves the unweighted problem for any alpha bound d by brute
 force over the two small sides of an optimal solution: at most 2d surviving
 S-vertices and at most 2d removed non-S-vertices.
@@ -59,34 +72,48 @@ def enumerate_s1_candidates(g: Graph, s: Iterable[int], d: int) -> Iterator[tupl
         raise PreconditionError(f"d must be >= 1, got {d}")
     s_mask = check_vertices(g, s)
     require_alpha(g, d)
-    return (ids_of(x) for x in _s1_candidates(g, s_mask, d))
+    return (ids_of(x) for x, _, _ in _s1_candidates(g, s_mask, d))
 
 
-def _s1_candidates(g: Graph, s_mask: int, d: int) -> Iterator[int]:
-    """The candidates of ``enumerate_s1_candidates`` as masks."""
+def _s1_candidates(
+    g: Graph, s_mask: int, d: int
+) -> Iterator[tuple[int, list[int], list[int]]]:
+    """The candidates of ``enumerate_s1_candidates`` as ``(x_mask, ycomp, tree)``.
+
+    ``ycomp[v]`` is the mask of v's component in G[X \\ S] (0 for v outside
+    X \\ S) and ``tree[v]`` the mask of v's component in G[X] (0 outside X):
+    the labels ``_hat_ok`` reads.  Each candidate grows from its parent by one
+    vertex v, and ``_add_vertex`` derives the child's labels from the
+    parent's, so no candidate runs a DFS or a BFS.  By the contracted-forest
+    rule (module docstring) G[X + v] stays an S-forest iff the Y-nodes and
+    S-vertices v sees lie in distinct trees of G[X] and, if v is in S, v sees
+    no Y-node twice.  Adding a vertex to a set with an S-cycle keeps the
+    S-cycle, so a rejected vertex prunes every superset.
+    """
     adj = g._adj
-    yield 0
+    none = [0] * (g.n + 1)
+    yield 0, none, none
     s_ids = ids_of(s_mask)
 
-    def stays_s_forest(x_mask: int, v: int) -> bool:
-        # x is an S-forest already; a vertex with at most one neighbour in x
-        # closes no cycle, so only the others need the DFS
-        m2 = x_mask | (1 << v)
-        return (adj[v] & x_mask).bit_count() <= 1 or _s_cycle_free(adj, m2, s_mask)
-
-    def extend(x_mask: int, budget: int, pool: tuple[int, ...], start: int):
-        yield x_mask
+    def extend(
+        x_mask: int, ycomp: list[int], tree: list[int],
+        budget: int, pool: tuple[int, ...], start: int,
+    ):
+        yield x_mask, ycomp, tree
         if budget == 0:
             return
         for i in range(start, len(pool)):
-            # supersets of a set with an S-cycle keep the S-cycle: prune
-            if stays_s_forest(x_mask, pool[i]):
-                yield from extend(x_mask | (1 << pool[i]), budget - 1, pool, i + 1)
+            v = pool[i]
+            child = _add_vertex(adj, s_mask, x_mask, ycomp, tree, v)
+            if child is not None:
+                yield from extend(x_mask | (1 << v), *child, budget - 1, pool, i + 1)
 
-    def grow_s(sp_mask: int, count: int, start: int):
+    def grow_s(sp_mask: int, tree: list[int], count: int, start: int):
         for i in range(start, len(s_ids)):
-            if not stays_s_forest(sp_mask, s_ids[i]):
+            child = _add_vertex(adj, s_mask, sp_mask, none, tree, s_ids[i])
+            if child is None:
                 continue
+            tree2 = child[1]
             m2 = sp_mask | (1 << s_ids[i])
             cnt2 = count + 1
             cap = 4 * d - 2 if cnt2 <= 2 * d - 2 else 2 * d
@@ -94,50 +121,115 @@ def _s1_candidates(g: Graph, s_mask: int, d: int) -> Iterator[int]:
             for v in _bits(m2):
                 nm |= adj[v]
             pool = ids_of(nm & ~s_mask)
-            yield from extend(m2, cap - cnt2, pool, 0)
+            yield from extend(m2, none, tree2, cap - cnt2, pool, 0)
             if cnt2 < 2 * d:
-                yield from grow_s(m2, cnt2, i + 1)
+                yield from grow_s(m2, tree2, cnt2, i + 1)
 
-    yield from grow_s(0, 0, 0)
+    yield from grow_s(0, none, 0, 0)
+
+
+def _add_vertex(
+    adj: Sequence[int], s_mask: int, x_mask: int,
+    ycomp: list[int], tree: list[int], v: int,
+) -> tuple[list[int], list[int]] | None:
+    """Labels of X + v, or None if G[X + v] is not an S-forest.
+
+    X is an S-forest with labels ``ycomp``/``tree`` as ``_s1_candidates``
+    yields them.  The new tree is v plus the trees v touches; for v outside
+    S the new Y-node is v plus the Y-nodes v touches.  The parent's lists are
+    copied, never changed.
+    """
+    v_bit = 1 << v
+    in_s = bool(s_mask & v_bit)
+    joined = _touched(ycomp, tree, adj[v] & x_mask, in_s)
+    if joined is None:
+        return None
+    if not in_s:
+        ycomp = _relabel(ycomp, joined[0] | v_bit)
+    return ycomp, _relabel(tree, joined[1] | v_bit)
+
+
+def _touched(
+    ycomp: Sequence[int], tree: Sequence[int], nb: int, in_s: bool
+) -> tuple[int, int] | None:
+    """What a new vertex with neighbours ``nb`` in the S-forest X joins.
+
+    Returns the union of the Y-nodes and the union of the trees it touches,
+    or None if it closes a cycle through S.  It touches one node per Y-node
+    it sees plus one per S-neighbour.  By the contracted-forest rule in the
+    module docstring a cycle through S closes exactly when two touched nodes
+    share a tree, or when the vertex is in S (``in_s``) and sees one Y-node
+    twice; two neighbours in one Y-node close only cycles that avoid S.
+    """
+    y_all = t_all = 0
+    rest = nb
+    while rest:
+        u = (rest & -rest).bit_length() - 1
+        t = tree[u]
+        if t & t_all:
+            return None
+        t_all |= t
+        y = ycomp[u]
+        if y:
+            if in_s:
+                seen = nb & y
+                if seen & (seen - 1):
+                    return None
+            y_all |= y
+            rest &= ~y
+        else:
+            rest &= rest - 1
+    return y_all, t_all
+
+
+def _relabel(labels: list[int], mask: int) -> list[int]:
+    """A copy of ``labels`` with every vertex of ``mask`` labelled ``mask``."""
+    labels = labels[:]
+    rest = mask
+    while rest:
+        b = rest & -rest
+        labels[b.bit_length() - 1] = mask
+        rest ^= b
+    return labels
 
 
 # -- hat tests and valid single budget sets ---------------------------------
 
 
-def _hat_ok(base: Sequence[int], x_mask: int, s_mask: int, parts: Sequence[int]) -> bool:
-    """S-forest test of the hat graph, done in place on extended masks.
+def _hat_ok(ycomp: list[int], tree: list[int], parts: Sequence[int]) -> bool:
+    """S-forest test of the hat graph: G[X] plus one proxy per part.
 
-    ``base`` is the graph's adjacency restricted to x,
-    ``[m & x_mask for m in g._adj]``; the caller builds it once per candidate
-    X and every hat test on that X copies it.  Proxy ``j`` takes bit
-    ``len(base) + j``, just past the graph's own vertices.
+    ``ycomp``/``tree`` are the candidate's labels from ``_s1_candidates``;
+    every part lies inside X \\ S.  A proxy is a new non-S vertex, so by the
+    contracted-forest rule it keeps the graph an S-forest iff the Y-nodes its
+    part touches lie in distinct trees.  The proxies are added one after the
+    other: once a part passes, its Y-nodes form one Y-node with its proxy,
+    and its trees one tree, which the next part reads in place of the
+    originals.  Any number of parts is handled; the solver forms one or two.
     """
-    ext = list(base)
-    kept = x_mask
-    hat_bit = 1 << len(base)
-    for pm in parts:
-        ext.append(pm)
-        for v in _bits(pm):
-            ext[v] |= hat_bit
-        kept |= hat_bit
-        hat_bit <<= 1
-    return _s_cycle_free(ext, kept, s_mask)
+    for a in parts[:-1]:
+        joined = _touched(ycomp, tree, a, False)
+        if joined is None:
+            return False
+        ycomp = _relabel(ycomp, joined[0])
+        tree = _relabel(tree, joined[1])
+    return not parts or _touched(ycomp, tree, parts[-1], False) is not None
 
 
-def _valid_single_parts(base: Sequence[int], x_mask: int, s_mask: int) -> list[int]:
-    """All A inside x \\ S whose one-proxy hat graph stays an S-forest.
+def _valid_single_parts(ycomp: list[int], tree: list[int], free: int) -> list[int]:
+    """All A inside ``free`` = X \\ S whose one-proxy hat graph stays an S-forest.
 
-    ``base`` is the x-restricted adjacency that ``_hat_ok`` takes.  Validity
-    is downward closed (removing proxy edges cannot create a cycle), so the
+    ``ycomp``/``tree`` are the labels ``_hat_ok`` takes.  Validity is
+    downward closed (removing proxy edges cannot create a cycle), so the
     subset search prunes whole subtrees on first failure.
     """
-    pool = ids_of(x_mask & ~s_mask)
+    pool = ids_of(free)
     valids = [0]
 
     def grow(a_mask: int, start: int):
         for i in range(start, len(pool)):
             a2 = a_mask | (1 << pool[i])
-            if _hat_ok(base, x_mask, s_mask, (a2,)):
+            if _hat_ok(ycomp, tree, (a2,)):
                 valids.append(a2)
                 grow(a2, i + 1)
 
@@ -255,9 +347,9 @@ def _case_a1a2(
 def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
     """Minimum-weight subset feedback vertex set for graphs with alpha <= 3.
 
-    Per candidate X the work is shared: the x-restricted adjacency behind
-    every hat test is built once, B(X, A) is computed once per valid single
-    A, and only pairs of singles whose B sets are both nonempty are
+    Per candidate X the work is shared: every hat test reads the component
+    labels the candidate enumeration derived for X, B(X, A) is computed once
+    per valid single A, and only pairs of singles whose B sets are both nonempty are
     hat-tested and completed (a pair with an empty side has no two-component
     completion).  Completions compete on masks through ``_beats``: the
     heavier kept set wins, and at equal weight the one whose removed set is
@@ -277,20 +369,19 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
         if _beats(weight, kept, best_weight, best_kept):
             best_kept, best_weight = kept, weight
 
-    for x_mask in _s1_candidates(g, s_mask, 3):
+    for x_mask, ycomp, tree in _s1_candidates(g, s_mask, 3):
         if not x_mask:
             continue
         consider(x_mask)  # empty tuple: the forest is G[x] itself
-        base = [m & x_mask for m in adj]
         live = []  # (A, B(X, A)) for the valid singles with a nonempty B
-        for a in _valid_single_parts(base, x_mask, s_mask):
+        for a in _valid_single_parts(ycomp, tree, x_mask & ~s_mask):
             b = _b_mask(g, x_mask, s_mask, a)
             if b:
                 consider(_case_a1(g, x_mask, b)[0])
                 live.append((a, b))
         for i, (a1, b1) in enumerate(live):
             for a2, b2 in live[i:]:
-                if not _hat_ok(base, x_mask, s_mask, (a1, a2)):
+                if not _hat_ok(ycomp, tree, (a1, a2)):
                     continue
                 res = _case_a1a2(g, x_mask, s_mask, b1, b2)
                 if res is not None:

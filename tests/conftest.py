@@ -15,6 +15,7 @@ import networkx as nx
 import pytest
 
 from sfvs import Graph, PreconditionError, independence_at_most
+from sfvs.graph import _bits, check_vertices, components_of_mask, ids_of, mask_of
 
 
 def complete_graph(n: int, weights=None) -> Graph:
@@ -73,6 +74,15 @@ def atlas_graphs(max_n: int = 6) -> tuple[Graph, ...]:
 
 def atlas_alpha3(max_n: int = 6) -> list[Graph]:
     return [g for g in atlas_graphs(max_n) if independence_at_most(g, 3)]
+
+
+def neighborhood(g: Graph, x, closed: bool = False) -> tuple[int, ...]:
+    """Open neighborhood ``N(x)`` of a vertex set, or ``N[x]`` when closed."""
+    xm = check_vertices(g, x)
+    nm = 0
+    for v in _bits(xm):
+        nm |= g.adj_mask(v)
+    return ids_of(nm | xm if closed else nm & ~xm)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -158,6 +168,22 @@ def build_hat_graph(g: Graph, x, parts) -> Graph:
         edges += [(index[v], len(xs) + j + 1) for v in part]
     weights = {index[v]: g.weight(v) for v in xs}
     return Graph(len(xs) + len(parts), edges, weights)
+
+
+def forest_labels(g: Graph, x, s) -> tuple[list[int], list[int]]:
+    """The per-vertex labels ``sfvs.solvers._s1_candidates`` yields, by BFS.
+
+    ``ycomp[v]`` is the mask of v's component in G[x - s], ``tree[v]`` that
+    of v's component in G[x]; both are 0 for vertices they do not cover.
+    """
+    x_mask, s_mask = mask_of(x), mask_of(s)
+    ycomp = [0] * (g.n + 1)
+    tree = [0] * (g.n + 1)
+    for labels, mask in ((ycomp, x_mask & ~s_mask), (tree, x_mask)):
+        for comp in components_of_mask(g, mask):
+            for v in _bits(comp):
+                labels[v] = comp
+    return ycomp, tree
 
 
 def brute_bipartite_cover_weight(left, right, edges, weights) -> int:

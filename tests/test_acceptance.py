@@ -27,7 +27,6 @@ from sfvs import (
     is_s_forest,
     max_flow,
     multicolored_source_optimum,
-    neighborhood,
     oracle_clique_cover_at_most,
     oracle_solve,
     reduce_mcis_to_fvs,
@@ -47,6 +46,7 @@ from sfvs.generate import generate_instance
 from conftest import (
     atlas_alpha3,
     brute_bipartite_cover_weight,
+    neighborhood,
     random_bounded_alpha,
     random_subset,
 )

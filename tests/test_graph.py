@@ -10,7 +10,6 @@ from sfvs import (
     find_independent_set,
     independence_at_most,
     is_s_forest,
-    neighborhood,
 )
 
 from conftest import (
@@ -20,6 +19,7 @@ from conftest import (
     cycle_graph,
     max_independent_set,
     naive_is_s_forest,
+    neighborhood,
     path_graph,
     random_graph,
     random_subset,

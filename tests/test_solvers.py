@@ -10,7 +10,6 @@ from sfvs import (
     ProblemInstance,
     enumerate_s1_candidates,
     is_s_forest,
-    neighborhood,
     oracle_solve,
     solve_sfvs_xp,
     solve_wnmcdt_alpha2,
@@ -18,9 +17,25 @@ from sfvs import (
 )
 from sfvs.generate import generate_instance
 from sfvs.graph import ids_of, mask_of
-from sfvs.solvers import _b_mask, _beats, _case_a1, _case_a1a2, _hat_ok, _valid_single_parts
+from sfvs.solvers import (
+    _add_vertex,
+    _b_mask,
+    _beats,
+    _case_a1,
+    _case_a1a2,
+    _hat_ok,
+    _s1_candidates,
+    _valid_single_parts,
+)
 
-from conftest import build_hat_graph, complete_graph, random_bounded_alpha, random_subset
+from conftest import (
+    build_hat_graph,
+    complete_graph,
+    forest_labels,
+    neighborhood,
+    random_bounded_alpha,
+    random_subset,
+)
 
 
 def true_near_layer(g: Graph, kept, s) -> tuple[int, ...]:
@@ -85,6 +100,61 @@ class TestCandidateEnumeration:
             cands = set(enumerate_s1_candidates(g, s, 3))
             assert layer in cands, (g.edges, s, best, layer)
 
+    def test_yields_exactly_the_candidates_once_each(self, rng):
+        # soundness alone would let an over-strict S-forest test through
+        checked = 0
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            d = rng.randint(1, 3)
+            g = random_bounded_alpha(rng, n, d, 0.4)
+            s = random_subset(rng, n, 0.5)
+            got = list(enumerate_s1_candidates(g, s, d))
+            assert len(got) == len(set(got)), (g.edges, s, d)
+            want = {
+                x
+                for r in range(n + 1)
+                for x in combinations(g.vertices(), r)
+                if candidate_ok(g, x, s, d)
+            }
+            assert set(got) == want, (g.edges, s, d)
+            checked += len(got)
+        assert checked > 1500
+
+    def test_labels_match_bfs(self, rng):
+        checked = 0
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            g = random_bounded_alpha(rng, n, 3, 0.4)
+            s = random_subset(rng, n, 0.5)
+            for x_mask, ycomp, tree in _s1_candidates(g, mask_of(s), 3):
+                want = forest_labels(g, ids_of(x_mask), s)
+                assert (ycomp, tree) == want, (g.edges, s, ids_of(x_mask))
+                checked += 1
+        assert checked > 500
+
+
+class TestAddVertex:
+    """Growing an S-forest X by one vertex v, with S = {1}."""
+
+    def _add(self, g, x, s, v):
+        ycomp, tree = forest_labels(g, x, s)
+        return _add_vertex(g._adj, mask_of(s), mask_of(x), ycomp, tree, v)
+
+    def test_s_vertex_touching_one_y_component_twice_is_rejected(self):
+        g = Graph(3, [(2, 3), (1, 2), (1, 3)])
+        assert self._add(g, [2, 3], [1], 1) is None
+
+    def test_cycle_inside_one_y_component_is_accepted(self):
+        # 4 closes 2 - 3 - 4, which avoids S, in the tree of S-vertex 1
+        g = Graph(4, [(1, 2), (2, 3), (2, 4), (3, 4)])
+        got = self._add(g, [1, 2, 3], [1], 4)
+        assert got == forest_labels(g, [1, 2, 3, 4], [1])
+        assert got[0][4] == mask_of((2, 3, 4))
+
+    def test_seeing_an_s_vertex_and_its_y_neighbour_is_rejected(self):
+        g = Graph(3, [(1, 2), (1, 3), (2, 3)])
+        assert self._add(g, [1, 2], [1], 3) is None
+
 
 class TestHatGraph:
     def test_empty_tuple_is_plain_induced_subgraph(self):
@@ -112,15 +182,14 @@ class TestHatGraph:
 
 def _singles(g, x, s):
     """The valid single budget sets of candidate x, as id tuples."""
-    x_mask, s_mask = mask_of(x), mask_of(s)
-    base = [m & x_mask for m in g._adj]
-    return [ids_of(a) for a in _valid_single_parts(base, x_mask, s_mask)]
+    ycomp, tree = forest_labels(g, x, s)
+    free = mask_of(x) & ~mask_of(s)
+    return [ids_of(a) for a in _valid_single_parts(ycomp, tree, free)]
 
 
 def _pair_ok(g, x, s, p1, p2):
-    x_mask = mask_of(x)
-    base = [m & x_mask for m in g._adj]
-    return _hat_ok(base, x_mask, mask_of(s), (mask_of(p1), mask_of(p2)))
+    ycomp, tree = forest_labels(g, x, s)
+    return _hat_ok(ycomp, tree, (mask_of(p1), mask_of(p2)))
 
 
 class TestTupleEnumeration:
@@ -141,13 +210,33 @@ class TestTupleEnumeration:
         assert (2,) in singles and (3,) in singles
         assert (2, 3) not in singles
 
+    def test_first_proxy_of_a_pair_joins_two_trees(self):
+        # trees 2 - 1 - 3 and 4 - 5 with S = {1, 4}; proxy (2, 5) joins them,
+        # so proxy (3, 5) closes 2 - 1 - 3 - p2 - 5 - p1 through 1
+        g = Graph(5, [(1, 2), (1, 3), (4, 5)])
+        x, s = (1, 2, 3, 4, 5), (1, 4)
+        assert {(2, 5), (3, 5)} <= set(_singles(g, x, s))
+        assert _pair_ok(g, x, s, (2, 5), (2, 5))
+        assert not _pair_ok(g, x, s, (2, 5), (3, 5))
+        hat = build_hat_graph(g, x, [(2, 5), (3, 5)])
+        assert not is_s_forest(hat, hat.vertices(), s)
+
     def test_matches_hat_graph_definition(self, rng):
+        forests = 0
         for _ in range(25):
-            n = rng.randint(1, 6)
+            n = rng.randint(1, 9)
             g = random_bounded_alpha(rng, n, 3, 0.5)
             s = random_subset(rng, n, 0.5)
             xs = [x for x in enumerate_s1_candidates(g, s, 3) if x]
-            for x in xs[:4]:
+            # the first candidates lie in one tree, where the first proxy of a
+            # pair joins nothing; a pair spanning two trees needs more
+            forest = [
+                x for x in xs
+                if len(set(forest_labels(g, x, s)[1]) - {0}) > 1
+                and len(set(x) - set(s)) <= 4
+            ]
+            forests += len(forest[:4])
+            for x in xs[:4] + forest[:4]:
                 free = tuple(v for v in x if v not in s)
                 singles = _singles(g, x, s)
                 got = {(p1,) for p1 in singles}
@@ -170,6 +259,7 @@ class TestTupleEnumeration:
                         if is_s_forest(hat2, hat2.vertices(), _remap(x, s)):
                             want.add((p1, p2))
                 assert got == want, (g.edges, s, x)
+        assert forests > 10
 
 
 def _remap(x, s):
@@ -336,6 +426,23 @@ class TestWeightedAlpha3:
             assert is_s_forest(
                 g, [v for v in g.vertices() if v not in got.removed], s
             )
+
+
+    @pytest.mark.parametrize(
+        "n, objective, removed",
+        [
+            (10, 11, (1, 3, 5, 9, 10)),
+            (14, 12, (1, 2, 3, 6, 7, 8, 14)),
+            (18, 31, (1, 2, 3, 5, 7, 8, 10, 17, 18)),
+            (22, 38, (2, 4, 6, 7, 9, 12, 14, 15, 16, 18, 22)),
+            (26, 39, (1, 5, 8, 14, 17, 18, 19, 20, 21, 22, 23, 24, 26)),
+        ],
+    )
+    def test_ladder_beyond_the_oracle_guard(self, n, objective, removed):
+        # the benchmark ladder; the pins agree with an independent branch and bound
+        inst = generate_instance(n, 3, 0.3, 7, "wsfvs", 0.5, wmax=5)
+        got = solve_wsfvs_alpha3(inst.graph, inst.special)
+        assert (got.objective, got.removed) == (objective, removed)
 
 
 class TestUnweightedXP:
