@@ -31,7 +31,6 @@ from .oracle import (
     SizeGuardError,
     Solution,
     feasible_removed,
-    oracle_clique_cover_at_most,
     oracle_solve,
 )
 from .reductions import (
@@ -45,7 +44,6 @@ from .reductions import (
     verify_reduction,
 )
 from .solvers import (
-    enumerate_s1_candidates,
     solve_sfvs_xp,
     solve_wsfvs_alpha3,
 )

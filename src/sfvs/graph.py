@@ -12,14 +12,33 @@ the rest of the package fast enough for exhaustive testing.
 
 The central predicate is :func:`is_s_forest`: given a vertex subset ``x`` and
 a distinguished set ``s``, decide whether no cycle of ``G[x]`` passes through
-a vertex of ``s``.  A vertex lies on a cycle exactly when one of its incident
-edges is not a bridge, so the test reduces to a single bridge-finding DFS
-instead of any kind of cycle enumeration.
+a vertex of ``s``.  Every S-forest test in the package, from scratch or while
+a set grows, is decided here by one rule, the contracted-forest rule.
+
+Let X be an S-forest and contract every component of G[X \\ S] to one
+"Y-node".  In an S-forest a path avoiding S and a path through S cannot join
+the same two non-S vertices: the symmetric difference of their edge sets is
+an even subgraph holding an edge at the S-vertex, so that edge would lie on a
+cycle.  Hence the contraction is a forest (a cycle or a double edge in it
+would lift to a cycle through S) in which no two Y-nodes are adjacent, and
+any path between two distinct Y-nodes passes through S.  So a new non-S
+vertex closes a cycle through S exactly when the nodes it touches (its
+Y-nodes and its S-neighbours) are not in distinct trees; two neighbours in
+one Y-node close only cycles that avoid S.  A new S-vertex lies on every
+cycle it closes, so it closes one exactly when two of its neighbours are
+joined in G[X]: when two touched nodes share a tree, or when it sees one
+Y-node twice.
+
+It therefore suffices to know, for each vertex, its component in G[X \\ S]
+(``ycomp``) and in G[X] (``tree``).  :func:`_add_vertex` derives the labels
+of X + v from those of X; :func:`_s_cycle_free` tests a set from scratch by
+labelling the components of G[X \\ S], an S-forest with no S-vertex, and
+adding the S-vertices one at a time.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -179,72 +198,6 @@ def check_vertices(g: Graph, ids: Iterable[int]) -> int:
     return m
 
 
-def _s_cycle_free(adj, kept: int, s_mask: int) -> bool:
-    """True iff no cycle of the graph induced on ``kept`` meets ``s_mask``.
-
-    ``adj`` is any sequence of neighbor masks (it may extend past the graph's
-    own vertices, which is how hat graphs are tested without materializing
-    them).  A cycle through a vertex exists exactly when the vertex has an
-    incident non-bridge edge, so the scan aborts as soon as a non-bridge edge
-    with an endpoint in ``s_mask`` shows up.
-    """
-    s_in = s_mask & kept
-    size = max(len(adj), kept.bit_length() + 1)
-    disc = [0] * size
-    low = [0] * size
-    visited = 0
-    timer = 1
-    for root in _bits(kept):
-        if visited >> root & 1:
-            continue
-        visited |= 1 << root
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[list[int]] = [[root, 0, adj[root] & kept]]
-        while stack:
-            frame = stack[-1]
-            v, p, rem = frame
-            if rem:
-                ub = rem & -rem
-                frame[2] = rem ^ ub
-                u = ub.bit_length() - 1
-                if u == p:
-                    frame[1] = 0
-                    continue
-                if not visited >> u & 1:
-                    visited |= ub
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append([u, v, adj[u] & kept])
-                elif disc[u] < disc[v]:
-                    # back edge (v, u): always on a cycle
-                    if (s_in >> v | s_in >> u) & 1:
-                        return False
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-            else:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if low[v] <= disc[pv]:
-                        # tree edge (pv, v) is not a bridge
-                        if (s_in >> v | s_in >> pv) & 1:
-                            return False
-    return True
-
-
-def is_s_forest(g: Graph, x: Iterable[int], s: Iterable[int]) -> bool:
-    """Decide whether ``G[x]`` is an S-forest: no cycle of it meets ``s``.
-
-    Only ``s & x`` matters; members of ``s`` outside ``x`` are ignored.
-    """
-    xm = check_vertices(g, x)
-    sm = check_vertices(g, s)
-    return _s_cycle_free(g._adj, xm, sm)
-
-
 def components_of_mask(g: Graph, mask: int) -> list[int]:
     """Connected components of ``G[mask]`` as masks, ordered by smallest vertex."""
     adj = g._adj
@@ -263,6 +216,109 @@ def components_of_mask(g: Graph, mask: int) -> list[int]:
         comps.append(comp)
         todo &= ~comp
     return comps
+
+
+# -- S-forests: the contracted-forest rule ---------------------------------
+
+
+def _s_cycle_free(g: Graph, kept: int, s_mask: int) -> bool:
+    """True iff no cycle of ``G[kept]`` meets ``s_mask``.
+
+    Starts from the components of G[kept \\ S], which hold no S-vertex and
+    so form an S-forest whose trees are its Y-nodes, and adds the S-vertices
+    of ``kept`` one at a time by the contracted-forest rule (module
+    docstring), stopping at the first one that closes a cycle through S.
+    """
+    adj = g._adj
+    x_mask = kept & ~s_mask
+    ycomp = [0] * (g.n + 1)
+    for comp in components_of_mask(g, x_mask):
+        for v in _bits(comp):
+            ycomp[v] = comp
+    tree = ycomp
+    for v in _bits(kept & s_mask):
+        child = _add_vertex(adj, s_mask, x_mask, ycomp, tree, v)
+        if child is None:
+            return False
+        ycomp, tree = child
+        x_mask |= 1 << v
+    return True
+
+
+def is_s_forest(g: Graph, x: Iterable[int], s: Iterable[int]) -> bool:
+    """Decide whether ``G[x]`` is an S-forest: no cycle of it meets ``s``.
+
+    Only ``s & x`` matters; members of ``s`` outside ``x`` are ignored.
+    """
+    xm = check_vertices(g, x)
+    sm = check_vertices(g, s)
+    return _s_cycle_free(g, xm, sm)
+
+
+def _add_vertex(
+    adj: Sequence[int], s_mask: int, x_mask: int,
+    ycomp: list[int], tree: list[int], v: int,
+) -> tuple[list[int], list[int]] | None:
+    """Labels of X + v, or None if G[X + v] is not an S-forest.
+
+    X is an S-forest; ``ycomp[v]`` is the mask of v's component in G[X \\ S]
+    (0 for v outside X \\ S) and ``tree[v]`` the mask of v's component in
+    G[X] (0 outside X).  The new tree is v plus the trees v touches; for v
+    outside S the new Y-node is v plus the Y-nodes v touches.  The parent's
+    lists are copied, never changed.
+    """
+    v_bit = 1 << v
+    in_s = bool(s_mask & v_bit)
+    joined = _touched(ycomp, tree, adj[v] & x_mask, in_s)
+    if joined is None:
+        return None
+    if not in_s:
+        ycomp = _relabel(ycomp, joined[0] | v_bit)
+    return ycomp, _relabel(tree, joined[1] | v_bit)
+
+
+def _touched(
+    ycomp: Sequence[int], tree: Sequence[int], nb: int, in_s: bool
+) -> tuple[int, int] | None:
+    """What a new vertex with neighbours ``nb`` in the S-forest X joins.
+
+    Returns the union of the Y-nodes and the union of the trees it touches,
+    or None if it closes a cycle through S.  It touches one node per Y-node
+    it sees plus one per S-neighbour.  By the contracted-forest rule in the
+    module docstring a cycle through S closes exactly when two touched nodes
+    share a tree, or when the vertex is in S (``in_s``) and sees one Y-node
+    twice; two neighbours in one Y-node close only cycles that avoid S.
+    """
+    y_all = t_all = 0
+    rest = nb
+    while rest:
+        u = (rest & -rest).bit_length() - 1
+        t = tree[u]
+        if t & t_all:
+            return None
+        t_all |= t
+        y = ycomp[u]
+        if y:
+            if in_s:
+                seen = nb & y
+                if seen & (seen - 1):
+                    return None
+            y_all |= y
+            rest &= ~y
+        else:
+            rest &= rest - 1
+    return y_all, t_all
+
+
+def _relabel(labels: list[int], mask: int) -> list[int]:
+    """A copy of ``labels`` with every vertex of ``mask`` labelled ``mask``."""
+    labels = labels[:]
+    rest = mask
+    while rest:
+        b = rest & -rest
+        labels[b.bit_length() - 1] = mask
+        rest ^= b
+    return labels
 
 
 # -- independence number utilities ------------------------------------------

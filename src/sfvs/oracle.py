@@ -96,9 +96,9 @@ def feasible_removed(inst: ProblemInstance, removed: tuple[int, ...] | int) -> b
     sm = inst.special_mask()
     kind = inst.kind
     if kind in ("wsfvs", "sfvs"):
-        return _s_cycle_free(g._adj, kept, sm)
+        return _s_cycle_free(g, kept, sm)
     if kind == "fvs":
-        return _s_cycle_free(g._adj, kept, kept)
+        return _s_cycle_free(g, kept, kept)
     if kind == "nmc":
         if rm & sm:
             return False
@@ -167,34 +167,3 @@ def _solve_weighted(inst: ProblemInstance) -> Solution:
             best = min(ids_of(m) for m in feas)
             return Solution(best, total, True)
     raise PreconditionError("exhausted all subsets without a feasible solution")
-
-
-def oracle_clique_cover_at_most(g: Graph, c: int) -> bool:
-    """True iff the vertices partition into at most ``c`` cliques (exhaustive)."""
-    if c < 1:
-        raise PreconditionError(f"c must be >= 1, got {c}")
-    adj = g._adj
-    # most-constrained-first: high degree vertices early prune faster
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    groups: list[int] = []
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        b = 1 << v
-        av = adj[v]
-        for j, gm in enumerate(groups):
-            if gm & ~av == 0:
-                groups[j] = gm | b
-                if place(i + 1):
-                    return True
-                groups[j] = gm
-        if len(groups) < c:
-            groups.append(b)
-            if place(i + 1):
-                return True
-            groups.pop()
-        return False
-
-    return place(0)

@@ -15,18 +15,10 @@ computed exactly: one far component means picking the heaviest component of
 the admissible vertices, two far components reduce to a minimum-weight vertex
 cover on a bipartite conflict graph.
 
-The hat tests and the growth of the candidates need no DFS, by the
-contracted-forest rule.  Let X be an S-forest and contract every component of
-G[X \\ S] to one "Y-node".  In an S-forest a path avoiding S and a path
-through S cannot join the same two non-S vertices: the symmetric difference
-of their edge sets is an even subgraph holding an edge at the S-vertex, so
-that edge would lie on a cycle.  Hence the contraction is a forest (a cycle
-or a double edge in it would lift to a cycle through S) in which no two
-Y-nodes are adjacent, and any path between two distinct Y-nodes passes
-through S.  So a new non-S vertex closes a cycle through S exactly when the
-nodes it touches (its Y-nodes and its S-neighbours) are not in distinct
-trees.  Per candidate X it suffices to know, for each vertex, its component
-in G[X \\ S] and in G[X].
+The hat tests and the growth of the candidates need no DFS: each candidate X
+carries, for every vertex, its component in G[X \\ S] and in G[X], and the
+contracted-forest rule in :mod:`sfvs.graph` (stated and proved in that
+module's docstring) decides every S-forest test from those labels.
 
 ``solve_sfvs_xp`` solves the unweighted problem for any alpha bound d by brute
 force over the two small sides of an optimal solution: at most 2d surviving
@@ -46,8 +38,11 @@ from .graph import (
     Graph,
     InternalInvariantError,
     PreconditionError,
+    _add_vertex,
     _bits,
+    _relabel,
     _s_cycle_free,
+    _touched,
     check_vertices,
     components_of_mask,
     ids_of,
@@ -60,32 +55,22 @@ from .oracle import Solution
 # -- near-layer candidate enumeration ----------------------------------------
 
 
-def enumerate_s1_candidates(g: Graph, s: Iterable[int], d: int) -> Iterator[tuple[int, ...]]:
-    """Yield every candidate near layer X subject to the size bounds.
-
-    A candidate satisfies: |X & S| <= 2d; X \\ S lies inside N(X & S); G[X] is
-    an S-forest; and |X| <= 4d - 2 when |X & S| <= 2d - 2, |X| <= 2d
-    otherwise.  The empty candidate is always yielded first; the
-    no-surviving-S case is handled by the caller's baseline.
-    """
-    if d < 1:
-        raise PreconditionError(f"d must be >= 1, got {d}")
-    s_mask = check_vertices(g, s)
-    require_alpha(g, d)
-    return (ids_of(x) for x, _, _ in _s1_candidates(g, s_mask, d))
-
-
 def _s1_candidates(
     g: Graph, s_mask: int, d: int
 ) -> Iterator[tuple[int, list[int], list[int]]]:
-    """The candidates of ``enumerate_s1_candidates`` as ``(x_mask, ycomp, tree)``.
+    """Every candidate near layer X, as ``(x_mask, ycomp, tree)``.
+
+    A candidate satisfies: |X & S| <= 2d; X \\ S lies inside N(X & S); G[X] is
+    an S-forest; and |X| <= 4d - 2 when |X & S| <= 2d - 2, |X| <= 2d
+    otherwise.  The empty candidate comes first; the no-surviving-S case is
+    handled by the caller's baseline.  The caller checks alpha(G) <= d.
 
     ``ycomp[v]`` is the mask of v's component in G[X \\ S] (0 for v outside
     X \\ S) and ``tree[v]`` the mask of v's component in G[X] (0 outside X):
     the labels ``_hat_ok`` reads.  Each candidate grows from its parent by one
     vertex v, and ``_add_vertex`` derives the child's labels from the
     parent's, so no candidate runs a DFS or a BFS.  By the contracted-forest
-    rule (module docstring) G[X + v] stays an S-forest iff the Y-nodes and
+    rule (``sfvs.graph``) G[X + v] stays an S-forest iff the Y-nodes and
     S-vertices v sees lie in distinct trees of G[X] and, if v is in S, v sees
     no Y-node twice.  Adding a vertex to a set with an S-cycle keeps the
     S-cycle, so a rejected vertex prunes every superset.
@@ -126,71 +111,6 @@ def _s1_candidates(
                 yield from grow_s(m2, tree2, cnt2, i + 1)
 
     yield from grow_s(0, none, 0, 0)
-
-
-def _add_vertex(
-    adj: Sequence[int], s_mask: int, x_mask: int,
-    ycomp: list[int], tree: list[int], v: int,
-) -> tuple[list[int], list[int]] | None:
-    """Labels of X + v, or None if G[X + v] is not an S-forest.
-
-    X is an S-forest with labels ``ycomp``/``tree`` as ``_s1_candidates``
-    yields them.  The new tree is v plus the trees v touches; for v outside
-    S the new Y-node is v plus the Y-nodes v touches.  The parent's lists are
-    copied, never changed.
-    """
-    v_bit = 1 << v
-    in_s = bool(s_mask & v_bit)
-    joined = _touched(ycomp, tree, adj[v] & x_mask, in_s)
-    if joined is None:
-        return None
-    if not in_s:
-        ycomp = _relabel(ycomp, joined[0] | v_bit)
-    return ycomp, _relabel(tree, joined[1] | v_bit)
-
-
-def _touched(
-    ycomp: Sequence[int], tree: Sequence[int], nb: int, in_s: bool
-) -> tuple[int, int] | None:
-    """What a new vertex with neighbours ``nb`` in the S-forest X joins.
-
-    Returns the union of the Y-nodes and the union of the trees it touches,
-    or None if it closes a cycle through S.  It touches one node per Y-node
-    it sees plus one per S-neighbour.  By the contracted-forest rule in the
-    module docstring a cycle through S closes exactly when two touched nodes
-    share a tree, or when the vertex is in S (``in_s``) and sees one Y-node
-    twice; two neighbours in one Y-node close only cycles that avoid S.
-    """
-    y_all = t_all = 0
-    rest = nb
-    while rest:
-        u = (rest & -rest).bit_length() - 1
-        t = tree[u]
-        if t & t_all:
-            return None
-        t_all |= t
-        y = ycomp[u]
-        if y:
-            if in_s:
-                seen = nb & y
-                if seen & (seen - 1):
-                    return None
-            y_all |= y
-            rest &= ~y
-        else:
-            rest &= rest - 1
-    return y_all, t_all
-
-
-def _relabel(labels: list[int], mask: int) -> list[int]:
-    """A copy of ``labels`` with every vertex of ``mask`` labelled ``mask``."""
-    labels = labels[:]
-    rest = mask
-    while rest:
-        b = rest & -rest
-        labels[b.bit_length() - 1] = mask
-        rest ^= b
-    return labels
 
 
 # -- hat tests and valid single budget sets ---------------------------------
@@ -244,17 +164,15 @@ def _valid_single_parts(ycomp: list[int], tree: list[int], free: int) -> list[in
 def _b_mask(g: Graph, x_mask: int, s_mask: int, a_mask: int) -> int:
     """Vertices outside x and S whose whole neighborhood into x sits in ``a``.
 
-    The exclusion uses x \\ a (not x \\ (S | a)): a far vertex adjacent to a
-    surviving S-vertex would sit in the near layer, so it must be ruled out
-    here as well.
+    That is every vertex outside x, S and N(x \\ a).  The exclusion uses
+    x \\ a (not x \\ (S | a)): a far vertex adjacent to a surviving S-vertex
+    would sit in the near layer, so it must be ruled out here as well.
     """
     adj = g._adj
-    rest = g.vertex_mask() & ~x_mask & ~s_mask
-    out = 0
-    for v in _bits(rest):
-        if adj[v] & x_mask & ~a_mask == 0:
-            out |= 1 << v
-    return out
+    near = 0
+    for u in _bits(x_mask & ~a_mask):
+        near |= adj[u]
+    return g.vertex_mask() & ~x_mask & ~s_mask & ~near
 
 
 def _beats(weight: int, kept: int, best_weight: int, best_kept: int) -> bool:
@@ -331,7 +249,7 @@ def _case_a1a2(
             c1 = w1_bit | (b1p & ~u_mask)
             c2 = w2_bit | (b2p & ~u_mask)
             kept = x_mask | c1 | c2
-            if not _s_cycle_free(adj, kept, s_mask):
+            if not _s_cycle_free(g, kept, s_mask):
                 raise InternalInvariantError(
                     "two-component completion produced an S-cycle"
                 )
@@ -357,7 +275,6 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
     """
     require_alpha(g, 3)
     s_mask = check_vertices(g, s)
-    adj = g._adj
     full = g.vertex_mask()
 
     best_kept = full & ~s_mask  # dropping all of S is always feasible
@@ -387,7 +304,7 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
                 if res is not None:
                     consider(res[0])
 
-    if not _s_cycle_free(adj, best_kept, s_mask):
+    if not _s_cycle_free(g, best_kept, s_mask):
         raise InternalInvariantError("chosen forest fails the S-forest check")
     removed = ids_of(full & ~best_kept)
     return Solution(removed, g.weight_of(removed), True)
@@ -408,7 +325,6 @@ def solve_sfvs_xp(g: Graph, s: Iterable[int], d: int) -> Solution:
         )
     require_alpha(g, d)
     s_mask = check_vertices(g, s)
-    adj = g._adj
     full = g.vertex_mask()
     s_ids = ids_of(s_mask)
     non_s = ids_of(full & ~s_mask)
@@ -432,7 +348,7 @@ def solve_sfvs_xp(g: Graph, s: Iterable[int], d: int) -> Solution:
                         assert best_removed is not None
                         if ids_of(removed) >= best_removed:
                             continue
-                    if _s_cycle_free(adj, full & ~removed, s_mask):
+                    if _s_cycle_free(g, full & ~removed, s_mask):
                         best_size = size
                         best_removed = ids_of(removed)
     assert best_removed is not None  # removing all of S is always feasible

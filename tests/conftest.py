@@ -1,8 +1,9 @@
 """Shared builders and independent brute-force oracles for the test suite.
 
 The brute-force helpers here deliberately use different algorithms than the
-package (subset enumeration instead of DFS, one-sided enumeration instead of
-flow) so that agreement actually means something.
+package (subset enumeration or networkx's biconnected blocks instead of the
+contracted-forest rule, one-sided enumeration instead of flow) so that
+agreement actually means something.
 """
 
 from __future__ import annotations
@@ -119,6 +120,21 @@ def naive_is_s_forest(g: Graph, x, s) -> bool:
     return True
 
 
+def nx_is_s_forest(g: Graph, x, s) -> bool:
+    """S-forest test from ``networkx.biconnected_components``.
+
+    A vertex lies on a cycle of G[x] iff it belongs to a block of G[x] with
+    three or more vertices.
+    """
+    G = nx.Graph()
+    G.add_nodes_from(x)
+    G.add_edges_from((u, v) for u, v in g.edges if u in G and v in G)
+    s_in = set(s) & set(x)
+    return not any(
+        len(block) > 2 and block & s_in for block in nx.biconnected_components(G)
+    )
+
+
 def max_independent_set(g: Graph) -> tuple[int, ...]:
     """A maximum independent set, lexicographically smallest among the ties."""
     adj = g._adj
@@ -149,6 +165,37 @@ def max_independent_set(g: Graph) -> tuple[int, ...]:
             need -= 1
             allowed = rest
     return tuple(chosen)
+
+
+def oracle_clique_cover_at_most(g: Graph, c: int) -> bool:
+    """True iff the vertices partition into at most ``c`` cliques (exhaustive)."""
+    if c < 1:
+        raise PreconditionError(f"c must be >= 1, got {c}")
+    adj = g._adj
+    # most-constrained-first: high degree vertices early prune faster
+    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+    groups: list[int] = []
+
+    def place(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        b = 1 << v
+        av = adj[v]
+        for j, gm in enumerate(groups):
+            if gm & ~av == 0:
+                groups[j] = gm | b
+                if place(i + 1):
+                    return True
+                groups[j] = gm
+        if len(groups) < c:
+            groups.append(b)
+            if place(i + 1):
+                return True
+            groups.pop()
+        return False
+
+    return place(0)
 
 
 def build_hat_graph(g: Graph, x, parts) -> Graph:

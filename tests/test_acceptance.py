@@ -27,7 +27,6 @@ from sfvs import (
     is_s_forest,
     max_flow,
     multicolored_source_optimum,
-    oracle_clique_cover_at_most,
     oracle_solve,
     reduce_mcis_to_fvs,
     reduce_vc3_to_nmc,
@@ -47,6 +46,7 @@ from conftest import (
     atlas_alpha3,
     brute_bipartite_cover_weight,
     neighborhood,
+    oracle_clique_cover_at_most,
     random_bounded_alpha,
     random_subset,
 )

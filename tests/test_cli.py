@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from sfvs.cli import main
+from sfvs.cli import ALGOS, main
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -72,6 +72,17 @@ class TestSolve:
             assert code == 3, algo
             assert captured.out == ""
             assert "[1, 2]" in captured.err  # the violating 2K1
+
+    def test_empty_instance_through_every_algo(self, tmp_path, capsys):
+        kinds = {"wsfvs-a3": "wsfvs", "sfvs-xp": "sfvs", "nmc-a2": "nmc",
+                 "nmcdt-xp": "nmcdt", "wnmcdt-a2": "wnmcdt", "oracle": "fvs"}
+        assert set(kinds) == set(ALGOS)
+        for algo, kind in kinds.items():
+            path = write(tmp_path, f"{kind}0.txt", f"p {kind} 0 0\n")
+            code, out = run(capsys, "solve", "--algo", algo, "--input", path, "--json")
+            doc = json.loads(out)
+            assert code == 0, algo
+            assert (doc["objective"], doc["removed"], doc["verified"]) == (0, [], True), algo
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         path = write(tmp_path, "bad.txt", "p sfvs 1 1\ne 1 1\n")

@@ -1,7 +1,6 @@
 import random
 from itertools import combinations
 
-import networkx as nx
 import pytest
 
 from sfvs import (
@@ -20,6 +19,7 @@ from conftest import (
     max_independent_set,
     naive_is_s_forest,
     neighborhood,
+    nx_is_s_forest,
     path_graph,
     random_graph,
     random_subset,
@@ -83,7 +83,7 @@ class TestNeighborhood:
 
 
 class TestBlocks:
-    """The S-forest DFS against biconnected blocks: a vertex lies on a cycle
+    """The S-forest test against biconnected blocks: a vertex lies on a cycle
     of G[x] iff it belongs to a block of G[x] with three or more vertices."""
 
     def test_path_gives_two_bridges(self):
@@ -104,15 +104,10 @@ class TestBlocks:
             n = rng.randint(1, 10)
             g = random_graph(rng, n, rng.random())
             x = random_subset(rng, n, 0.8)
-            G = nx.Graph()
-            G.add_nodes_from(x)
-            G.add_edges_from((u, v) for u, v in g.edges if u in x and v in x)
-            on_cycle = set()
-            for block in nx.biconnected_components(G):
-                if len(block) > 2:
-                    on_cycle |= block
-            for v in x:
-                assert is_s_forest(g, x, [v]) == (v not in on_cycle), (g.edges, x, v)
+            subsets = [[v] for v in x] + [x, random_subset(rng, n, 0.5)]
+            subsets += [[v for v in x if rng.random() < 0.5] for _ in range(3)]
+            for s in subsets:
+                assert is_s_forest(g, x, s) == nx_is_s_forest(g, x, s), (g.edges, x, s)
 
 
 class TestSForest:

@@ -6,11 +6,17 @@ from sfvs import (
     ProblemInstance,
     SizeGuardError,
     feasible_removed,
-    oracle_clique_cover_at_most,
     oracle_solve,
 )
 
-from conftest import complete_graph, cycle_graph, max_independent_set, path_graph, random_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    max_independent_set,
+    oracle_clique_cover_at_most,
+    path_graph,
+    random_graph,
+)
 
 
 def solve(g, kind, special=(), **kw):

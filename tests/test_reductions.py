@@ -10,13 +10,14 @@ from sfvs import (
     TripartiteGraph,
     independence_at_most,
     multicolored_source_optimum,
-    oracle_clique_cover_at_most,
     oracle_solve,
     reduce_mcis_to_fvs,
     reduce_vc3_to_nmc,
     reduce_vc3_to_wsfvs,
     verify_reduction,
 )
+
+from conftest import oracle_clique_cover_at_most
 
 
 def random_tripartite(rng: random.Random, n: int, p: float) -> TripartiteGraph:

@@ -8,17 +8,15 @@ from sfvs import (
     Graph,
     PreconditionError,
     ProblemInstance,
-    enumerate_s1_candidates,
-    is_s_forest,
     oracle_solve,
     solve_sfvs_xp,
     solve_wnmcdt_alpha2,
     solve_wsfvs_alpha3,
 )
+from sfvs import solvers
 from sfvs.generate import generate_instance
-from sfvs.graph import ids_of, mask_of
+from sfvs.graph import _add_vertex, ids_of, mask_of
 from sfvs.solvers import (
-    _add_vertex,
     _b_mask,
     _beats,
     _case_a1,
@@ -33,9 +31,15 @@ from conftest import (
     complete_graph,
     forest_labels,
     neighborhood,
+    nx_is_s_forest,
     random_bounded_alpha,
     random_subset,
 )
+
+
+def candidates(g: Graph, s, d: int) -> list[tuple[int, ...]]:
+    """The near-layer candidates ``_s1_candidates`` yields, as id tuples."""
+    return [ids_of(x) for x, _, _ in _s1_candidates(g, mask_of(s), d)]
 
 
 def true_near_layer(g: Graph, kept, s) -> tuple[int, ...]:
@@ -56,18 +60,18 @@ def candidate_ok(g: Graph, x, s, d: int) -> bool:
         return False
     if not (xs - ss) <= set(neighborhood(g, sorted(kept_s))):
         return False
-    return is_s_forest(g, x, s)
+    return nx_is_s_forest(g, x, s)
 
 
 class TestCandidateEnumeration:
     def test_empty_s_yields_only_the_empty_candidate(self):
-        assert list(enumerate_s1_candidates(complete_graph(3), [], 3)) == [()]
+        assert candidates(complete_graph(3), [], 3) == [()]
 
     def test_single_vertex(self):
-        assert sorted(enumerate_s1_candidates(Graph(1), [1], 3)) == [(), (1,)]
+        assert sorted(candidates(Graph(1), [1], 3)) == [(), (1,)]
 
     def test_k3_candidates(self):
-        got = sorted(enumerate_s1_candidates(complete_graph(3), [1], 3))
+        got = sorted(candidates(complete_graph(3), [1], 3))
         # the full triangle is an S-cycle through 1, so it is filtered out
         assert got == [(), (1,), (1, 2), (1, 3)]
 
@@ -76,18 +80,18 @@ class TestCandidateEnumeration:
             n = rng.randint(1, 8)
             g = random_bounded_alpha(rng, n, 3, 0.4)
             s = random_subset(rng, n, 0.5)
-            for x in enumerate_s1_candidates(g, s, 3):
+            for x in candidates(g, s, 3):
                 if x:
                     assert candidate_ok(g, x, s, 3), (g.edges, s, x)
 
-    def test_alpha_precondition_is_checked(self):
-        with pytest.raises(AlphaBoundError):
-            list(enumerate_s1_candidates(Graph(4), [1], 3))
+    def test_alpha_precondition_is_checked(self, monkeypatch):
+        # the enumeration has no guard of its own; the solver checks first
+        def enumerate_too_early(*args):
+            raise AssertionError("candidates enumerated before the alpha check")
 
-    def test_alpha_precondition_is_checked_beyond_d_three(self):
-        with pytest.raises(AlphaBoundError) as err:
-            enumerate_s1_candidates(Graph(5), [1], 4)
-        assert err.value.witness == (1, 2, 3, 4, 5)
+        monkeypatch.setattr(solvers, "_s1_candidates", enumerate_too_early)
+        with pytest.raises(AlphaBoundError):
+            solve_wsfvs_alpha3(Graph(4), [1])
 
     def test_optimums_near_layer_is_enumerated(self, rng):
         for _ in range(40):
@@ -97,7 +101,7 @@ class TestCandidateEnumeration:
             best = oracle_solve(ProblemInstance(g, "wsfvs", s))
             kept = [v for v in g.vertices() if v not in best.removed]
             layer = true_near_layer(g, kept, s)
-            cands = set(enumerate_s1_candidates(g, s, 3))
+            cands = set(candidates(g, s, 3))
             assert layer in cands, (g.edges, s, best, layer)
 
     def test_yields_exactly_the_candidates_once_each(self, rng):
@@ -108,7 +112,7 @@ class TestCandidateEnumeration:
             d = rng.randint(1, 3)
             g = random_bounded_alpha(rng, n, d, 0.4)
             s = random_subset(rng, n, 0.5)
-            got = list(enumerate_s1_candidates(g, s, d))
+            got = candidates(g, s, d)
             assert len(got) == len(set(got)), (g.edges, s, d)
             want = {
                 x
@@ -168,12 +172,12 @@ class TestHatGraph:
         hat = build_hat_graph(g, [1, 2, 3], [(2, 3)])
         assert hat.n == 4
         assert hat.edges == frozenset({(1, 2), (1, 3), (2, 4), (3, 4)})
-        assert not is_s_forest(hat, [1, 2, 3, 4], [1])
+        assert not nx_is_s_forest(hat, [1, 2, 3, 4], [1])
 
     def test_single_leaf_stays_a_forest(self):
         g = Graph(2, [(1, 2)])
         hat = build_hat_graph(g, [1, 2], [(2,)])
-        assert is_s_forest(hat, [1, 2, 3], [1])
+        assert nx_is_s_forest(hat, [1, 2, 3], [1])
 
     def test_part_outside_x_is_rejected(self):
         with pytest.raises(PreconditionError):
@@ -219,7 +223,7 @@ class TestTupleEnumeration:
         assert _pair_ok(g, x, s, (2, 5), (2, 5))
         assert not _pair_ok(g, x, s, (2, 5), (3, 5))
         hat = build_hat_graph(g, x, [(2, 5), (3, 5)])
-        assert not is_s_forest(hat, hat.vertices(), s)
+        assert not nx_is_s_forest(hat, hat.vertices(), s)
 
     def test_matches_hat_graph_definition(self, rng):
         forests = 0
@@ -227,7 +231,7 @@ class TestTupleEnumeration:
             n = rng.randint(1, 9)
             g = random_bounded_alpha(rng, n, 3, 0.5)
             s = random_subset(rng, n, 0.5)
-            xs = [x for x in enumerate_s1_candidates(g, s, 3) if x]
+            xs = [x for x in candidates(g, s, 3) if x]
             # the first candidates lie in one tree, where the first proxy of a
             # pair joins nothing; a pair spanning two trees needs more
             forest = [
@@ -252,11 +256,11 @@ class TestTupleEnumeration:
                 ]
                 for p1 in all_parts:
                     hat1 = build_hat_graph(g, x, (p1,))
-                    if is_s_forest(hat1, hat1.vertices(), _remap(x, s)):
+                    if nx_is_s_forest(hat1, hat1.vertices(), _remap(x, s)):
                         want.add((p1,))
                     for p2 in all_parts:
                         hat2 = build_hat_graph(g, x, (p1, p2))
-                        if is_s_forest(hat2, hat2.vertices(), _remap(x, s)):
+                        if nx_is_s_forest(hat2, hat2.vertices(), _remap(x, s)):
                             want.add((p1, p2))
                 assert got == want, (g.edges, s, x)
         assert forests > 10
@@ -295,7 +299,7 @@ class TestCompletionCases:
             n = rng.randint(2, 8)
             g = random_bounded_alpha(rng, n, 3, 0.4, wmax=4)
             s = random_subset(rng, n, 0.4)
-            for x in enumerate_s1_candidates(g, s, 3):
+            for x in candidates(g, s, 3):
                 if not set(x) & set(s):
                     continue
                 singles = _singles(g, x, s)
@@ -325,7 +329,7 @@ class TestCompletionCases:
             kept, _ = _case_a1(g, x_mask, _b_mask(g, x_mask, s_mask, mask_of(a1)))
             want = g.weight_of(x) + _best_far(g, s, x, [a1], want_components=1)
             assert g.weight_of_mask(kept) == want, (g.edges, s, x, a1)
-            assert is_s_forest(g, ids_of(kept), s)
+            assert nx_is_s_forest(g, ids_of(kept), s)
 
     def test_two_components_match_brute_force(self, rng):
         checked = 0
@@ -340,7 +344,7 @@ class TestCompletionCases:
                 continue
             kept = res[0]
             assert g.weight_of_mask(kept) == g.weight_of(x) + best, (g.edges, s, x, a1, a2)
-            assert is_s_forest(g, ids_of(kept), s)
+            assert nx_is_s_forest(g, ids_of(kept), s)
             checked += 1
         assert checked > 10
 
@@ -423,7 +427,7 @@ class TestWeightedAlpha3:
             got = solve_wsfvs_alpha3(g, s)
             want = oracle_solve(ProblemInstance(g, "wsfvs", s))
             assert got == want, (g.edges, s)
-            assert is_s_forest(
+            assert nx_is_s_forest(
                 g, [v for v in g.vertices() if v not in got.removed], s
             )
 
