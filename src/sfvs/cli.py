@@ -11,9 +11,12 @@ guard, bad source partition).  The ``SFVS_ORACLE_MAX_N`` environment variable
 overrides the oracle's size guard.
 
 ``--json`` emits one stable object per run; everything in it except the
-``millis`` timing field is deterministic for a given input.  ``--threads`` is
-accepted for interface stability and must never change any output (solvers
-are sequential; their contracts pin the exact result regardless).
+``millis`` timing field is deterministic for a given input.  ``verified``
+means the removed set was re-checked for feasibility by the oracle's
+checker, not for optimality (``check --oracle`` tests that).  ``--threads``
+is reserved: accepted (it must be >= 1) and ignored, so it never changes
+any output (the solvers are sequential; their contracts pin the exact
+result regardless).
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     doc = {
         "algo": args.algo,
         "n": inst.graph.n,
-        "m": len(inst.graph.edges),
+        "m": inst.graph.edge_count(),
         "objective": sol.objective,
         "removed": list(sol.removed),
         "feasible": sol.feasible,
@@ -244,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--d", type=int, default=3, help="independence bound for the xp solvers")
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
-    p_solve.add_argument("--threads", type=int, default=1, help="accepted, never changes output")
+    p_solve.add_argument("--threads", type=int, default=1, help="reserved; accepted (>= 1) and ignored")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_check = sub.add_parser("check", help="re-verify a solution file")

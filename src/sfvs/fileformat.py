@@ -33,10 +33,12 @@ class ParseError(ValueError):
 
 
 def _tokenized(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line.split()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        tokens = line.split()
+        if tokens:
+            yield line_no, tokens
 
 
 def _int(token: str, line_no: int, what: str) -> int:
@@ -47,14 +49,18 @@ def _int(token: str, line_no: int, what: str) -> int:
 
 
 class _Body:
-    """Shared parsing of weight/edge/set/budget lines after the header."""
+    """Shared parsing of weight/edge/set/budget lines after the header.
+
+    Edges go straight into the adjacency masks ``adj``: each edge line is
+    validated here and nowhere else, and :meth:`graph` hands the masks to
+    :class:`Graph` without a second check.
+    """
 
     def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
         self.weights: dict[int, int] = {}
-        self.edges: list[tuple[int, int]] = []
-        self.edge_set: set[tuple[int, int]] = set()
+        self.adj = [0] * (n + 1)
         self.special: tuple[int, ...] | None = None
         self.budget: int | None = None
 
@@ -64,7 +70,41 @@ class _Body:
             raise ParseError(line_no, f"vertex id {v} out of range 1..{self.n}")
         return v
 
-    def feed(self, line_no: int, tokens: list[str]) -> bool:
+    def read(self, lines, line_no: int, extra=None) -> int:
+        """Feed every line after the header (line ``line_no``) and return the
+        number of the last one.  ``extra(line_no, tokens)`` takes the
+        format's own directives and returns False for an unknown one."""
+        n = self.n
+        adj = self.adj
+        for line_no, tokens in lines:
+            if tokens[0] != "e":
+                if not (self._feed(line_no, tokens) or extra and extra(line_no, tokens)):
+                    raise ParseError(line_no, f"unknown directive {tokens[0]!r}")
+                continue
+            if len(tokens) != 3:
+                raise ParseError(line_no, "edge line needs 'e <u> <v>'")
+            try:
+                u = int(tokens[1])
+                v = int(tokens[2])
+            except ValueError:
+                u = v = 0
+            if not (0 < u <= n and 0 < v <= n):
+                # let _vertex report the first bad token
+                u = self._vertex(tokens[1], line_no)
+                v = self._vertex(tokens[2], line_no)
+            if u == v:
+                raise ParseError(line_no, f"self-loop at vertex {u}")
+            if adj[u] >> v & 1:
+                raise ParseError(line_no, f"duplicate edge {min(u, v)}-{max(u, v)}")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        # no edge line sets a bit twice, so the masks count the edge lines
+        m = sum(a.bit_count() for a in adj) // 2
+        if m != self.m:
+            raise ParseError(line_no, f"header promises {self.m} edges, file has {m}")
+        return line_no
+
+    def _feed(self, line_no: int, tokens: list[str]) -> bool:
         head = tokens[0]
         if head == "w":
             if len(tokens) != 3:
@@ -76,18 +116,6 @@ class _Body:
             if v in self.weights:
                 raise ParseError(line_no, f"duplicate weight line for vertex {v}")
             self.weights[v] = w
-        elif head == "e":
-            if len(tokens) != 3:
-                raise ParseError(line_no, "edge line needs 'e <u> <v>'")
-            u = self._vertex(tokens[1], line_no)
-            v = self._vertex(tokens[2], line_no)
-            if u == v:
-                raise ParseError(line_no, f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in self.edge_set:
-                raise ParseError(line_no, f"duplicate edge {key[0]}-{key[1]}")
-            self.edge_set.add(key)
-            self.edges.append(key)
         elif head == "set":
             if self.special is not None:
                 raise ParseError(line_no, "more than one set line")
@@ -108,11 +136,8 @@ class _Body:
             return False
         return True
 
-    def finish(self, line_no: int) -> None:
-        if len(self.edges) != self.m:
-            raise ParseError(
-                line_no, f"header promises {self.m} edges, file has {len(self.edges)}"
-            )
+    def graph(self) -> Graph:
+        return Graph._from_adjacency(self.n, self.adj, self.weights)
 
 
 def _header(lines, expected_kinds) -> tuple[int, str, int, int]:
@@ -134,10 +159,7 @@ def parse_instance(text: str) -> ProblemInstance:
     lines = _tokenized(text)
     line_no, kind, n, m = _header(lines, FILE_KINDS)
     body = _Body(n, m)
-    for line_no, tokens in lines:
-        if not body.feed(line_no, tokens):
-            raise ParseError(line_no, f"unknown directive {tokens[0]!r}")
-    body.finish(line_no)
+    line_no = body.read(lines, line_no)
     special = body.special or ()
     if kind == "fvs":
         everyone = tuple(range(1, n + 1))
@@ -145,19 +167,18 @@ def parse_instance(text: str) -> ProblemInstance:
             raise ParseError(line_no, "an fvs instance must have set = all vertices")
         special = everyone
     try:
-        graph = Graph(n, body.edges, body.weights)
-        return ProblemInstance(graph, kind, special, body.budget)
+        return ProblemInstance(body.graph(), kind, special, body.budget)
     except (GraphError, PreconditionError) as exc:  # pragma: no cover - guarded above
         raise ParseError(line_no, str(exc)) from exc
 
 
 def emit_instance(inst: ProblemInstance) -> str:
     g = inst.graph
-    out = [f"p {inst.kind} {g.n} {len(g.edges)}"]
+    out = [f"p {inst.kind} {g.n} {g.edge_count()}"]
     for v in g.vertices():
         if g.weight(v) != 1:
             out.append(f"w {v} {g.weight(v)}")
-    for u, v in sorted(g.edges):
+    for u, v in g.edge_pairs():
         out.append(f"e {u} {v}")
     if inst.kind == "fvs":
         pass  # set defaults to all vertices
@@ -185,20 +206,21 @@ def parse_tripartite(text: str) -> tuple[TripartiteGraph, int | None]:
     line_no, _, n, m = _header(lines, ("vc3",))
     body = _Body(n, m)
     parts: dict[str, tuple[int, ...]] = {}
-    for line_no, tokens in lines:
-        if tokens[0] == "part":
-            if len(tokens) < 2 or tokens[1] not in ("A", "B", "C"):
-                raise ParseError(line_no, "part line needs 'part A|B|C <ids...>'")
-            name = tokens[1]
-            if name in parts:
-                raise ParseError(line_no, f"duplicate part {name}")
-            parts[name] = tuple(body._vertex(tok, line_no) for tok in tokens[2:])
-        elif not body.feed(line_no, tokens):
-            raise ParseError(line_no, f"unknown directive {tokens[0]!r}")
-    body.finish(line_no)
-    graph = Graph(n, body.edges, body.weights)
+
+    def part(line_no: int, tokens: list[str]) -> bool:
+        if tokens[0] != "part":
+            return False
+        if len(tokens) < 2 or tokens[1] not in ("A", "B", "C"):
+            raise ParseError(line_no, "part line needs 'part A|B|C <ids...>'")
+        name = tokens[1]
+        if name in parts:
+            raise ParseError(line_no, f"duplicate part {name}")
+        parts[name] = tuple(body._vertex(tok, line_no) for tok in tokens[2:])
+        return True
+
+    body.read(lines, line_no, part)
     triple = tuple(parts.get(name, ()) for name in "ABC")
-    return TripartiteGraph(graph, triple), body.budget
+    return TripartiteGraph(body.graph(), triple), body.budget
 
 
 def parse_multicolored(text: str) -> MulticoloredInstance:
@@ -207,26 +229,27 @@ def parse_multicolored(text: str) -> MulticoloredInstance:
     line_no, _, n, m = _header(lines, ("mcis",))
     body = _Body(n, m)
     classes: dict[int, tuple[int, ...]] = {}
-    for line_no, tokens in lines:
-        if tokens[0] == "class":
-            if len(tokens) < 3:
-                raise ParseError(line_no, "class line needs 'class <i> <ids...>'")
-            i = _int(tokens[1], line_no, "class index")
-            if i < 1:
-                raise ParseError(line_no, "class indices start at 1")
-            if i in classes:
-                raise ParseError(line_no, f"duplicate class {i}")
-            classes[i] = tuple(body._vertex(tok, line_no) for tok in tokens[2:])
-        elif not body.feed(line_no, tokens):
-            raise ParseError(line_no, f"unknown directive {tokens[0]!r}")
-    body.finish(line_no)
+
+    def class_line(line_no: int, tokens: list[str]) -> bool:
+        if tokens[0] != "class":
+            return False
+        if len(tokens) < 3:
+            raise ParseError(line_no, "class line needs 'class <i> <ids...>'")
+        i = _int(tokens[1], line_no, "class index")
+        if i < 1:
+            raise ParseError(line_no, "class indices start at 1")
+        if i in classes:
+            raise ParseError(line_no, f"duplicate class {i}")
+        classes[i] = tuple(body._vertex(tok, line_no) for tok in tokens[2:])
+        return True
+
+    line_no = body.read(lines, line_no, class_line)
     if not classes:
         raise ParseError(line_no, "an mcis file needs at least one class line")
     k = max(classes)
     if sorted(classes) != list(range(1, k + 1)):
         raise ParseError(line_no, f"class indices must be exactly 1..{k}")
-    graph = Graph(n, body.edges, body.weights)
-    return MulticoloredInstance(graph, tuple(classes[i] for i in range(1, k + 1)))
+    return MulticoloredInstance(body.graph(), tuple(classes[i] for i in range(1, k + 1)))
 
 
 def emit_mapping(out: ReductionOutput) -> str:

@@ -94,7 +94,11 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class Graph:
-    """Simple undirected vertex-weighted graph on vertices ``1..n``."""
+    """Simple undirected vertex-weighted graph on vertices ``1..n``.
+
+    The edges are stored once, as one adjacency mask per vertex; ``edges``
+    derives the edge set from the masks on first use.
+    """
 
     __slots__ = ("n", "_edges", "_w", "_adj")
 
@@ -106,24 +110,32 @@ class Graph:
     ):
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
-        self.n = n
-        norm: set[tuple[int, int]] = set()
         adj = [0] * (n + 1)
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (1 <= u <= n) or not (1 <= v <= n):
                 raise GraphError(f"edge {u}-{v} has an endpoint outside 1..{n}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in norm:
-                raise GraphError(f"parallel edge {u}-{v}")
-            norm.add((u, v))
+            if adj[u] >> v & 1:
+                raise GraphError(f"parallel edge {min(u, v)}-{max(u, v)}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        w = [0] * (n + 1)
-        for v in range(1, n + 1):
-            w[v] = 1
+        self._init(n, adj, weights)
+
+    @classmethod
+    def _from_adjacency(
+        cls, n: int, adj: list[int], weights: Mapping[int, int] | None
+    ) -> Graph:
+        """A graph on masks its caller already validated: ``adj`` has n + 1
+        entries, is symmetric and holds no self-loop and no bit outside 1..n.
+        Only the weights are checked."""
+        g = cls.__new__(cls)
+        g._init(n, adj, weights)
+        return g
+
+    def _init(self, n: int, adj: list[int], weights: Mapping[int, int] | None) -> None:
+        w = [1] * (n + 1)
+        w[0] = 0
         if weights:
             for v, wv in weights.items():
                 if not (1 <= v <= n):
@@ -131,15 +143,30 @@ class Graph:
                 if not isinstance(wv, int) or wv < 1:
                     raise GraphError(f"weight of vertex {v} must be a positive integer")
                 w[v] = wv
-        self._edges = frozenset(norm)
-        self._w = tuple(w)
+        self.n = n
         self._adj = tuple(adj)
+        self._w = tuple(w)
+        self._edges = None  # derived on first use, see ``edges``
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge as ``(u, v)`` with u < v, derived from the masks on
+        first use."""
+        if self._edges is None:
+            self._edges = frozenset(self.edge_pairs())
         return self._edges
+
+    def edge_pairs(self) -> Iterator[tuple[int, int]]:
+        """Every edge as ``(u, v)`` with u < v, in ascending order."""
+        adj = self._adj
+        for u in range(1, self.n + 1):
+            for v in _bits(adj[u] >> (u + 1) << (u + 1)):
+                yield u, v
+
+    def edge_count(self) -> int:
+        return sum(a.bit_count() for a in self._adj) // 2
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -170,22 +197,19 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return ids_of(self._adj[v])
 
-    def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj[u] >> v & 1) if 1 <= u <= self.n and 1 <= v <= self.n else False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges and self._w == other._w
+        return self.n == other.n and self._adj == other._adj and self._w == other._w
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges, self._w))
+        return hash((self.n, self._adj, self._w))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self._edges)})"
+        return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
 def check_vertices(g: Graph, ids: Iterable[int]) -> int:
@@ -233,14 +257,15 @@ def _s_cycle_free(g: Graph, kept: int, s_mask: int) -> bool:
     x_mask = kept & ~s_mask
     ycomp = [0] * (g.n + 1)
     for comp in components_of_mask(g, x_mask):
-        for v in _bits(comp):
-            ycomp[v] = comp
-    tree = ycomp
+        _label(ycomp, comp)
+    # Only S-vertices are added, so ycomp stays as it is and tree alone is
+    # relabelled, in place: no earlier labelling is needed again.
+    tree = ycomp[:]
     for v in _bits(kept & s_mask):
-        child = _add_vertex(adj, s_mask, x_mask, ycomp, tree, v)
-        if child is None:
+        joined = _touched(ycomp, tree, adj[v] & x_mask, True)
+        if joined is None:
             return False
-        ycomp, tree = child
+        _label(tree, joined[1] | 1 << v)
         x_mask |= 1 << v
     return True
 
@@ -313,12 +338,17 @@ def _touched(
 def _relabel(labels: list[int], mask: int) -> list[int]:
     """A copy of ``labels`` with every vertex of ``mask`` labelled ``mask``."""
     labels = labels[:]
+    _label(labels, mask)
+    return labels
+
+
+def _label(labels: list[int], mask: int) -> None:
+    """Label every vertex of ``mask`` with ``mask``, in place."""
     rest = mask
     while rest:
         b = rest & -rest
         labels[b.bit_length() - 1] = mask
         rest ^= b
-    return labels
 
 
 # -- independence number utilities ------------------------------------------

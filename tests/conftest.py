@@ -173,7 +173,7 @@ def oracle_clique_cover_at_most(g: Graph, c: int) -> bool:
         raise PreconditionError(f"c must be >= 1, got {c}")
     adj = g._adj
     # most-constrained-first: high degree vertices early prune faster
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+    order = sorted(g.vertices(), key=lambda v: (-g.adj_mask(v).bit_count(), v))
     groups: list[int] = []
 
     def place(i: int) -> bool:

@@ -14,6 +14,13 @@ from sfvs.fileformat import (
 from sfvs.reductions import reduce_vc3_to_wsfvs
 
 
+def _parse_by_header(text: str):
+    """Parse ``text`` with the parser of its header's kind."""
+    kind = text.split()[1] if text.strip() else None
+    parse = {"vc3": parse_tripartite, "mcis": parse_multicolored}.get(kind, parse_instance)
+    return parse(text)
+
+
 class TestParsing:
     def test_minimal_file(self):
         inst = parse_instance("p sfvs 1 0\n")
@@ -41,6 +48,14 @@ class TestParsing:
             ("p sfvs 1 0\ne 1 1\n", "self-loop"),
             ("p sfvs 2 2\ne 1 2\ne 2 1\n", "duplicate edge"),
             ("p sfvs 2 1\ne 1 3\n", "out of range"),
+            ("p sfvs 2 1\ne 1\n", "edge line needs 'e <u> <v>'"),
+            ("p sfvs 2 1\ne 1 x\n", "vertex id must be an integer, got 'x'"),
+            ("p sfvs 2 1\ne 0 1\n", "vertex id 0 out of range 1..2"),
+            ("p sfvs 2 1\ne x 3\n", "got 'x'"),
+            ("p sfvs 2 1\ne 3 x\n", "vertex id 3 out of range"),
+            ("p sfvs 3 2\ne 1 2\n# note\ne 2 1\n", "duplicate edge 1-2"),
+            ("p vc3 3 2\npart A 1\ne 1 2\ne 2 1\n", "duplicate edge 1-2"),
+            ("p mcis 3 2\nclass 1 1\ne 2 1\ne 1 2\n", "duplicate edge 1-2"),
             ("p sfvs 2 0\nw 1 0\n", "must be >= 1"),
             ("p sfvs 2 0\nset 1 1\n", "repeats"),
             ("p sfvs 2 1\n", "promises 1 edges"),
@@ -52,9 +67,11 @@ class TestParsing:
     )
     def test_errors_carry_line_numbers(self, text, fragment):
         with pytest.raises(ParseError) as err:
-            parse_instance(text)
+            _parse_by_header(text)
         assert fragment in str(err.value)
         assert str(err.value).startswith("line ")
+        # every case puts the offending line last
+        assert err.value.line_no == len(text.splitlines())
 
     def test_error_line_number_is_right(self):
         with pytest.raises(ParseError) as err:
