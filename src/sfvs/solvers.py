@@ -20,6 +20,15 @@ carries, for every vertex, its component in G[X \\ S] and in G[X], and the
 contracted-forest rule in :mod:`sfvs.graph` (stated and proved in that
 module's docstring) decides every S-forest test from those labels.
 
+Two exact bounds against the best kept set found so far (the incumbent) skip
+work that cannot change the answer.  Every completion of X keeps X plus far
+vertices inside B(X, A) for a budget set A inside X \\ S, and B(X, A) only
+grows with A, so all of them lie inside X | B(X, X \\ S): when that set weighs
+less than the incumbent, X is skipped after its own kept set is considered.
+A pair's completion lies inside X | B(X, A1) | B(X, A2), so a lighter union
+skips the pair's hat test and two-component completion.  Both comparisons are
+strict: a completion of equal weight can still win the tie-break.
+
 ``solve_sfvs_xp`` solves the unweighted problem for any alpha bound d by brute
 force over the two small sides of an optimal solution: at most 2d surviving
 S-vertices and at most 2d removed non-S-vertices.
@@ -272,6 +281,15 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
     completion).  Completions compete on masks through ``_beats``: the
     heavier kept set wins, and at equal weight the one whose removed set is
     lexicographically smallest.
+
+    The incumbent's weight only grows, and it bounds the rest of X's work
+    exactly.  X is skipped when w(X | B(X, X \\ S)) is below it: every
+    completion of X lies inside that set, because B(X, A) grows with A and
+    every budget set A lies inside X \\ S.  A pair is skipped when
+    w(X | B1 | B2) is below it, since its completion lies inside that union.
+    The test is strict ``<``: a completion that only ties the incumbent can
+    still win ``_beats``'s tie-break, so skipping it could change the removed
+    set.
     """
     require_alpha(g, 3)
     s_mask = check_vertices(g, s)
@@ -290,14 +308,19 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
         if not x_mask:
             continue
         consider(x_mask)  # empty tuple: the forest is G[x] itself
+        free = x_mask & ~s_mask
+        if g.weight_of_mask(x_mask | _b_mask(g, x_mask, s_mask, free)) < best_weight:
+            continue  # every completion of X lies inside X | B(X, X \ S)
         live = []  # (A, B(X, A)) for the valid singles with a nonempty B
-        for a in _valid_single_parts(ycomp, tree, x_mask & ~s_mask):
+        for a in _valid_single_parts(ycomp, tree, free):
             b = _b_mask(g, x_mask, s_mask, a)
             if b:
                 consider(_case_a1(g, x_mask, b)[0])
                 live.append((a, b))
         for i, (a1, b1) in enumerate(live):
             for a2, b2 in live[i:]:
+                if g.weight_of_mask(x_mask | b1 | b2) < best_weight:
+                    continue  # the pair's completion lies inside X | B1 | B2
                 if not _hat_ok(ycomp, tree, (a1, a2)):
                     continue
                 res = _case_a1a2(g, x_mask, s_mask, b1, b2)

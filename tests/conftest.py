@@ -60,6 +60,18 @@ def random_subset(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
     return tuple(v for v in range(1, n + 1) if rng.random() < p)
 
 
+def heavy_s(g: Graph, s, factor: int) -> Graph:
+    """``g`` with every S-vertex's weight multiplied by ``factor``.
+
+    Generated graphs plant cliques, and a surviving S-vertex keeps at most one
+    neighbour per clique, so at unit S weights removing all of S tends to win;
+    S-vertices about as heavy as a clique make the optimum keep some of them.
+    """
+    s_set = set(s)
+    weights = {v: g.weight(v) * (factor if v in s_set else 1) for v in g.vertices()}
+    return Graph(g.n, g.edges, weights)
+
+
 @lru_cache(maxsize=1)
 def atlas_graphs(max_n: int = 6) -> tuple[Graph, ...]:
     """Every graph on 1..max_n vertices, one per isomorphism class."""

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -30,6 +31,7 @@ from conftest import (
     build_hat_graph,
     complete_graph,
     forest_labels,
+    heavy_s,
     neighborhood,
     nx_is_s_forest,
     random_bounded_alpha,
@@ -440,6 +442,7 @@ class TestWeightedAlpha3:
             (18, 31, (1, 2, 3, 5, 7, 8, 10, 17, 18)),
             (22, 38, (2, 4, 6, 7, 9, 12, 14, 15, 16, 18, 22)),
             (26, 39, (1, 5, 8, 14, 17, 18, 19, 20, 21, 22, 23, 24, 26)),
+            (30, 40, (2, 3, 4, 6, 8, 9, 10, 11, 17, 19, 20, 24, 25, 28, 29)),
         ],
     )
     def test_ladder_beyond_the_oracle_guard(self, n, objective, removed):
@@ -447,6 +450,81 @@ class TestWeightedAlpha3:
         inst = generate_instance(n, 3, 0.3, 7, "wsfvs", 0.5, wmax=5)
         got = solve_wsfvs_alpha3(inst.graph, inst.special)
         assert (got.objective, got.removed) == (objective, removed)
+
+    @pytest.mark.parametrize(
+        "n, objective, removed",
+        [
+            (10, 14, (1, 3, 4, 5, 9)),
+            (14, 28, (2, 3, 4, 6, 7, 9, 11, 14)),
+            (18, 104, (1, 2, 4, 5, 8, 9, 11, 12, 13, 15, 16, 17)),
+            (22, 122, (1, 3, 4, 5, 6, 8, 9, 10, 11, 13, 14, 16, 17, 19, 20, 21)),
+            (26, 192, (2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19,
+                       20, 22, 23, 24, 25)),
+            (30, 237, (1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16, 18, 19,
+                       21, 22, 23, 24, 26, 27, 29, 30)),
+        ],
+    )
+    def test_heavy_s_ladder_beyond_the_oracle_guard(self, n, objective, removed):
+        # the ladder with S weights times n // 3, so the optimum keeps
+        # S-vertices at every n; the pins agree with an independent branch
+        # and bound
+        inst = generate_instance(n, 3, 0.3, 7, "wsfvs", 0.5, wmax=5)
+        got = solve_wsfvs_alpha3(heavy_s(inst.graph, inst.special, n // 3), inst.special)
+        assert (got.objective, got.removed) == (objective, removed)
+
+    @pytest.mark.parametrize(
+        "g, s, removed",
+        [
+            # {1, 2, 4} (removing 3) is found first; X = {4} can only tie it,
+            # with the far component {1, 3}, and that tie wins
+            (Graph(4, [(1, 2), (1, 3), (2, 3)], {1: 2, 4: 2}), (2, 4), (2,)),
+            # {1, 2, 3, 5} (removing 4) is found first; X = {5} with the two
+            # far components {2} and {3, 4} only ties it, and that tie wins
+            (Graph(5, [(1, 3), (1, 4), (3, 4)], {1: 2, 3: 3, 4: 2}), (1, 5), (1,)),
+        ],
+    )
+    def test_a_bound_that_only_ties_the_incumbent_prunes_nothing(self, g, s, removed):
+        # the incumbent bounds are exact only with a strict <: an equal-weight
+        # completion can still win the tie-break
+        got = solve_wsfvs_alpha3(g, s)
+        assert got == oracle_solve(ProblemInstance(g, "wsfvs", s))
+        assert got.removed == removed
+
+    def test_every_completion_case_wins_on_the_reaching_family(self, monkeypatch):
+        # low p, few S-vertices and heavy S on odd seeds: unlike the usual mix,
+        # this family makes each of the four cases the canonical optimum often
+        produced = {}  # kept mask -> the completion case that returned it
+        real_a1, real_a1a2 = solvers._case_a1, solvers._case_a1a2
+
+        def case_a1(*args):
+            res = real_a1(*args)
+            produced[res[0]] = "one far component"
+            return res
+
+        def case_a1a2(*args):
+            res = real_a1a2(*args)
+            if res is not None:
+                produced[res[0]] = "two far components"
+            return res
+
+        monkeypatch.setattr(solvers, "_case_a1", case_a1)
+        monkeypatch.setattr(solvers, "_case_a1a2", case_a1a2)
+        wins = Counter()
+        for seed in range(200):
+            inst = generate_instance(
+                6 + seed % 6, 3, 0.05, seed, "wsfvs", (0.1, 0.3)[seed // 2 % 2], 3
+            )
+            g = heavy_s(inst.graph, inst.special, 5) if seed % 2 else inst.graph
+            produced.clear()
+            got = solve_wsfvs_alpha3(g, inst.special)
+            want = oracle_solve(ProblemInstance(g, "wsfvs", inst.special))
+            assert got.removed == want.removed, (seed, g.edges, inst.special)
+            kept = g.vertex_mask() & ~mask_of(got.removed)
+            if not kept & mask_of(inst.special):
+                wins["all of S removed"] += 1
+            else:
+                wins[produced.get(kept, "X alone")] += 1
+        assert len(wins) == 4 and min(wins.values()) >= 10, wins
 
 
 class TestUnweightedXP:
