@@ -1,11 +1,15 @@
 """Brute-force exact solvers used as ground truth.
 
 Every problem the package solves has a feasibility predicate that is easy to
-state and cheap to evaluate on one candidate set; the oracle simply enumerates
-candidate removed sets in canonical order (ascending objective, then
-lexicographically smallest sorted vertex tuple) and returns the first feasible
-one.  Nothing here is clever on purpose: the point is a referee whose
-correctness is obvious, not speed.
+state and cheap to evaluate on one candidate set; the oracle returns the
+feasible removed set that comes first in canonical order (ascending
+objective, then lexicographically smallest sorted vertex tuple).  The
+unweighted kinds enumerate removed sets in that order and stop at the first
+feasible one.  The weighted kinds make one streaming pass over all 2^n
+removed sets and keep an incumbent, the best feasible set seen so far; only a
+set that would beat it is tested, and memory stays constant in n.  Nothing
+here is clever on purpose: the point is a referee whose correctness is
+obvious, not speed.
 
 A size guard refuses graphs with more than ``max_vertices`` vertices (22 by
 default) so that an accidental call on a large instance fails fast instead of
@@ -147,23 +151,28 @@ def _solve_unweighted(inst: ProblemInstance) -> Solution:
 
 
 def _solve_weighted(inst: ProblemInstance) -> Solution:
+    """One pass over every removed set, keeping the best feasible one so far.
+
+    A mask is tested for feasibility only if it would beat the incumbent: a
+    lower weight, or the same weight and a lexicographically smaller id
+    tuple.  Memory stays constant in n.
+    """
     g = inst.graph
     w = g._w
-    buckets: dict[int, list[int]] = {}
-    full = g.vertex_mask()
-    for m in range(full + 1):
-        if m & 1:
-            continue
+    best: tuple[int, tuple[int, ...]] | None = None  # (weight, removed ids)
+    for m in range(0, g.vertex_mask() + 1, 2):  # bit 0 is no vertex
         total = 0
         mm = m
         while mm:
             b = mm & -mm
             total += w[b.bit_length() - 1]
             mm ^= b
-        buckets.setdefault(total, []).append(m)
-    for total in sorted(buckets):
-        feas = [m for m in buckets[total] if feasible_removed(inst, m)]
-        if feas:
-            best = min(ids_of(m) for m in feas)
-            return Solution(best, total, True)
-    raise PreconditionError("exhausted all subsets without a feasible solution")
+        if best is not None and (
+            total > best[0] or total == best[0] and ids_of(m) >= best[1]
+        ):
+            continue
+        if feasible_removed(inst, m):
+            best = (total, ids_of(m))
+    if best is None:
+        raise PreconditionError("exhausted all subsets without a feasible solution")
+    return Solution(best[1], best[0], True)

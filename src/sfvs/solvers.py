@@ -20,14 +20,27 @@ carries, for every vertex, its component in G[X \\ S] and in G[X], and the
 contracted-forest rule in :mod:`sfvs.graph` (stated and proved in that
 module's docstring) decides every S-forest test from those labels.
 
-Two exact bounds against the best kept set found so far (the incumbent) skip
-work that cannot change the answer.  Every completion of X keeps X plus far
-vertices inside B(X, A) for a budget set A inside X \\ S, and B(X, A) only
-grows with A, so all of them lie inside X | B(X, X \\ S): when that set weighs
-less than the incumbent, X is skipped after its own kept set is considered.
-A pair's completion lies inside X | B(X, A1) | B(X, A2), so a lighter union
-skips the pair's hat test and two-component completion.  Both comparisons are
-strict: a completion of equal weight can still win the tie-break.
+Exact bounds against the best kept set found so far (the incumbent) skip
+work that cannot change the answer.  All comparisons are strict: a
+completion of equal weight can still win the tie-break.
+
+Bound 1 prunes whole subtrees of the candidate enumeration.  Fix the
+surviving S-set sp; every candidate under it is sp plus vertices of the pool
+N(sp) \\ S, added in pool order.  Every far vertex of a completion lies in
+B(X, A) for some A inside X \\ S, so outside S and outside N(sp), because sp
+lies inside X \\ A.  A completion therefore keeps sp, pool vertices of X, and
+non-S vertices outside the pool; a pool vertex the enumeration skipped is
+never added further down and is never far.  So no candidate in a subtree, nor
+any completion of one, keeps more than w(sp) + w(V \\ S) minus the weight of
+the pool vertices skipped so far.  The subtree is pruned when that cap is
+below the incumbent, and so are its later siblings, which skip even more.
+
+Bound 2 acts on one candidate and one pair.  Every completion of X keeps X
+plus far vertices inside B(X, A) for a budget set A inside X \\ S, and
+B(X, A) only grows with A, so all of them lie inside X | B(X, X \\ S): when
+that set weighs less than the incumbent, X is skipped after its own kept set
+is considered.  A pair's completion lies inside X | B(X, A1) | B(X, A2), so
+a lighter union skips the pair's hat test and two-component completion.
 
 ``solve_sfvs_xp`` solves the unweighted problem for any alpha bound d by brute
 force over the two small sides of an optimal solution: at most 2d surviving
@@ -65,9 +78,10 @@ from .oracle import Solution
 
 
 def _s1_candidates(
-    g: Graph, s_mask: int, d: int
+    g: Graph, s_mask: int, d: int, floor: list[int]
 ) -> Iterator[tuple[int, list[int], list[int]]]:
-    """Every candidate near layer X, as ``(x_mask, ycomp, tree)``.
+    """Every candidate near layer X outside the subtrees Bound 1 prunes, as
+    ``(x_mask, ycomp, tree)``.
 
     A candidate satisfies: |X & S| <= 2d; X \\ S lies inside N(X & S); G[X] is
     an S-forest; and |X| <= 4d - 2 when |X & S| <= 2d - 2, |X| <= 2d
@@ -83,24 +97,36 @@ def _s1_candidates(
     S-vertices v sees lie in distinct trees of G[X] and, if v is in S, v sees
     no Y-node twice.  Adding a vertex to a set with an S-cycle keeps the
     S-cycle, so a rejected vertex prunes every superset.
+
+    ``floor`` is a one-slot list holding the incumbent's kept weight; the
+    caller may raise it between yields.  A subtree is pruned once its cap,
+    w(sp) + w(V \\ S) minus the pool vertices it skips, falls strictly below
+    ``floor[0]`` (Bound 1, proved in the module docstring); ``[0]`` yields
+    every candidate.
     """
-    adj = g._adj
+    adj, w = g._adj, g._w
+    non_s = g.weight_of_mask(g.vertex_mask() & ~s_mask)
     none = [0] * (g.n + 1)
     yield 0, none, none
     s_ids = ids_of(s_mask)
 
     def extend(
         x_mask: int, ycomp: list[int], tree: list[int],
-        budget: int, pool: tuple[int, ...], start: int,
+        budget: int, pool: tuple[int, ...], start: int, cap: int,
     ):
         yield x_mask, ycomp, tree
         if budget == 0:
             return
         for i in range(start, len(pool)):
+            if cap < floor[0]:
+                return  # later children skip even more of the pool
             v = pool[i]
             child = _add_vertex(adj, s_mask, x_mask, ycomp, tree, v)
             if child is not None:
-                yield from extend(x_mask | (1 << v), *child, budget - 1, pool, i + 1)
+                yield from extend(
+                    x_mask | (1 << v), *child, budget - 1, pool, i + 1, cap
+                )
+            cap -= w[v]  # v is skipped by every later child
 
     def grow_s(sp_mask: int, tree: list[int], count: int, start: int):
         for i in range(start, len(s_ids)):
@@ -110,12 +136,13 @@ def _s1_candidates(
             tree2 = child[1]
             m2 = sp_mask | (1 << s_ids[i])
             cnt2 = count + 1
-            cap = 4 * d - 2 if cnt2 <= 2 * d - 2 else 2 * d
+            size = 4 * d - 2 if cnt2 <= 2 * d - 2 else 2 * d
             nm = 0
             for v in _bits(m2):
                 nm |= adj[v]
             pool = ids_of(nm & ~s_mask)
-            yield from extend(m2, none, tree2, cap - cnt2, pool, 0)
+            cap = g.weight_of_mask(m2) + non_s
+            yield from extend(m2, none, tree2, size - cnt2, pool, 0, cap)
             if cnt2 < 2 * d:
                 yield from grow_s(m2, tree2, cnt2, i + 1)
 
@@ -282,34 +309,36 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
     heavier kept set wins, and at equal weight the one whose removed set is
     lexicographically smallest.
 
-    The incumbent's weight only grows, and it bounds the rest of X's work
-    exactly.  X is skipped when w(X | B(X, X \\ S)) is below it: every
-    completion of X lies inside that set, because B(X, A) grows with A and
-    every budget set A lies inside X \\ S.  A pair is skipped when
-    w(X | B1 | B2) is below it, since its completion lies inside that union.
-    The test is strict ``<``: a completion that only ties the incumbent can
-    still win ``_beats``'s tie-break, so skipping it could change the removed
-    set.
+    The incumbent's weight only grows, and it bounds the remaining work
+    exactly.  It sits in the one-slot list ``floor``, which ``consider``
+    raises and ``_s1_candidates`` reads to prune whole subtrees of
+    candidates whose cap falls below it (Bound 1, see the module docstring).
+    X is skipped when w(X | B(X, X \\ S)) is below it: every completion of X
+    lies inside that set, because B(X, A) grows with A and every budget set A
+    lies inside X \\ S.  A pair is skipped when w(X | B1 | B2) is below it,
+    since its completion lies inside that union.  Every test is strict
+    ``<``: a completion that only ties the incumbent can still win
+    ``_beats``'s tie-break, so skipping it could change the removed set.
     """
     require_alpha(g, 3)
     s_mask = check_vertices(g, s)
     full = g.vertex_mask()
 
     best_kept = full & ~s_mask  # dropping all of S is always feasible
-    best_weight = g.weight_of_mask(best_kept)
+    floor = [g.weight_of_mask(best_kept)]  # the incumbent's kept weight
 
     def consider(kept: int):
-        nonlocal best_kept, best_weight
+        nonlocal best_kept
         weight = g.weight_of_mask(kept)
-        if _beats(weight, kept, best_weight, best_kept):
-            best_kept, best_weight = kept, weight
+        if _beats(weight, kept, floor[0], best_kept):
+            best_kept, floor[0] = kept, weight
 
-    for x_mask, ycomp, tree in _s1_candidates(g, s_mask, 3):
+    for x_mask, ycomp, tree in _s1_candidates(g, s_mask, 3, floor):
         if not x_mask:
             continue
         consider(x_mask)  # empty tuple: the forest is G[x] itself
         free = x_mask & ~s_mask
-        if g.weight_of_mask(x_mask | _b_mask(g, x_mask, s_mask, free)) < best_weight:
+        if g.weight_of_mask(x_mask | _b_mask(g, x_mask, s_mask, free)) < floor[0]:
             continue  # every completion of X lies inside X | B(X, X \ S)
         live = []  # (A, B(X, A)) for the valid singles with a nonempty B
         for a in _valid_single_parts(ycomp, tree, free):
@@ -319,7 +348,7 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
                 live.append((a, b))
         for i, (a1, b1) in enumerate(live):
             for a2, b2 in live[i:]:
-                if g.weight_of_mask(x_mask | b1 | b2) < best_weight:
+                if g.weight_of_mask(x_mask | b1 | b2) < floor[0]:
                     continue  # the pair's completion lies inside X | B1 | B2
                 if not _hat_ok(ycomp, tree, (a1, a2)):
                     continue

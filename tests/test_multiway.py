@@ -12,6 +12,7 @@ from sfvs import (
     solve_nmcdt_xp,
     solve_wnmcdt_alpha2,
 )
+from sfvs.generate import generate_instance
 
 from conftest import complete_graph, cycle_graph, path_graph, random_bounded_alpha, random_subset
 
@@ -131,6 +132,15 @@ class TestWeightedNmcdtAlpha2:
             assert check_multiway(g, t, got.removed, deletable=True)
             # the apex helper vertex must never leak into the answer
             assert all(v <= g.n for v in got.removed)
+
+    def test_pin_beyond_the_oracle_guard(self):
+        # the pin agrees with an independent branch and bound
+        inst = generate_instance(30, 2, 0.3, 7, "wnmcdt", 0.5, wmax=5)
+        got = solve_wnmcdt_alpha2(inst.graph, inst.special)
+        assert (got.objective, got.removed) == (
+            45, (1, 4, 5, 6, 15, 16, 17, 18, 20, 22, 23, 25, 27, 28)
+        )
+        assert check_multiway(inst.graph, inst.special, got.removed, deletable=True)
 
     def test_agrees_with_xp_on_unit_weights(self, rng):
         for _ in range(100):

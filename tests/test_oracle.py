@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from sfvs import (
@@ -8,6 +10,7 @@ from sfvs import (
     feasible_removed,
     oracle_solve,
 )
+from sfvs.generate import generate_instance
 
 from conftest import (
     complete_graph,
@@ -100,6 +103,19 @@ class TestOracle:
                 ys = tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
                 if g.weight_of(ys) < best.objective:
                     assert not feasible_removed(inst, ys), (g.edges, s, ys)
+
+    def test_weighted_pass_keeps_constant_memory(self):
+        # one streaming pass with an incumbent, not 2^n masks held in weight
+        # buckets, which peaked at 0.66 MB here and double per vertex
+        inst = generate_instance(14, 3, 0.3, 7, "wsfvs", 0.5, wmax=5)
+        tracemalloc.start()
+        try:
+            sol = oracle_solve(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (sol.objective, sol.removed) == (12, (1, 2, 3, 6, 7, 8, 14))
+        assert peak < 100_000, peak
 
     def test_guard_refuses_and_is_overridable(self):
         g = Graph(23)

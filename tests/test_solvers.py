@@ -41,7 +41,7 @@ from conftest import (
 
 def candidates(g: Graph, s, d: int) -> list[tuple[int, ...]]:
     """The near-layer candidates ``_s1_candidates`` yields, as id tuples."""
-    return [ids_of(x) for x, _, _ in _s1_candidates(g, mask_of(s), d)]
+    return [ids_of(x) for x, _, _ in _s1_candidates(g, mask_of(s), d, [0])]
 
 
 def true_near_layer(g: Graph, kept, s) -> tuple[int, ...]:
@@ -132,7 +132,7 @@ class TestCandidateEnumeration:
             n = rng.randint(1, 10)
             g = random_bounded_alpha(rng, n, 3, 0.4)
             s = random_subset(rng, n, 0.5)
-            for x_mask, ycomp, tree in _s1_candidates(g, mask_of(s), 3):
+            for x_mask, ycomp, tree in _s1_candidates(g, mask_of(s), 3, [0]):
                 want = forest_labels(g, ids_of(x_mask), s)
                 assert (ycomp, tree) == want, (g.edges, s, ids_of(x_mask))
                 checked += 1
@@ -443,6 +443,8 @@ class TestWeightedAlpha3:
             (22, 38, (2, 4, 6, 7, 9, 12, 14, 15, 16, 18, 22)),
             (26, 39, (1, 5, 8, 14, 17, 18, 19, 20, 21, 22, 23, 24, 26)),
             (30, 40, (2, 3, 4, 6, 8, 9, 10, 11, 17, 19, 20, 24, 25, 28, 29)),
+            (34, 53, (1, 2, 3, 6, 7, 8, 10, 11, 12, 13, 17, 18, 24, 28, 30, 31,
+                      34)),
         ],
     )
     def test_ladder_beyond_the_oracle_guard(self, n, objective, removed):
@@ -462,6 +464,8 @@ class TestWeightedAlpha3:
                        20, 22, 23, 24, 25)),
             (30, 237, (1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16, 18, 19,
                        21, 22, 23, 24, 26, 27, 29, 30)),
+            (34, 385, (1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 17, 19, 20,
+                       21, 22, 23, 24, 25, 26, 27, 28, 29, 31, 32, 33)),
         ],
     )
     def test_heavy_s_ladder_beyond_the_oracle_guard(self, n, objective, removed):
@@ -481,6 +485,10 @@ class TestWeightedAlpha3:
             # {1, 2, 3, 5} (removing 4) is found first; X = {5} with the two
             # far components {2} and {3, 4} only ties it, and that tie wins
             (Graph(5, [(1, 3), (1, 4), (3, 4)], {1: 2, 3: 3, 4: 2}), (1, 5), (1,)),
+            # the baseline keeps {1, 3} (removing 2); under X = {2} the
+            # candidate subtree of {2, 3} skips pool vertex 1, so its cap
+            # w(2) + w({1, 3}) - w(1) only ties it, and {2, 3} wins the tie
+            (complete_graph(3), (2,), (1,)),
         ],
     )
     def test_a_bound_that_only_ties_the_incumbent_prunes_nothing(self, g, s, removed):
@@ -489,6 +497,24 @@ class TestWeightedAlpha3:
         got = solve_wsfvs_alpha3(g, s)
         assert got == oracle_solve(ProblemInstance(g, "wsfvs", s))
         assert got.removed == removed
+
+    def test_subtree_bound_prunes_candidates_on_the_ladder(self, monkeypatch):
+        # guards against Bound 1 silently becoming dead code
+        inst = generate_instance(30, 3, 0.3, 7, "wsfvs", 0.5, wmax=5)
+        g, s_mask = inst.graph, mask_of(inst.special)
+        unpruned = sum(1 for _ in _s1_candidates(g, s_mask, 3, [0]))
+        drawn = 0
+
+        def counted(*args):
+            nonlocal drawn
+            for cand in _s1_candidates(*args):
+                drawn += 1
+                yield cand
+
+        monkeypatch.setattr(solvers, "_s1_candidates", counted)
+        got = solve_wsfvs_alpha3(g, inst.special)
+        assert got.objective == 40
+        assert 0 < drawn < unpruned, (drawn, unpruned)
 
     def test_every_completion_case_wins_on_the_reaching_family(self, monkeypatch):
         # low p, few S-vertices and heavy S on odd seeds: unlike the usual mix,
