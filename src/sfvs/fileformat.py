@@ -32,10 +32,18 @@ class ParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-def _tokenized(text: str):
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.partition("#")[0]
+def _lines(text: str) -> list[str]:
+    """The text's lines, line number i at index i - 1, comments cut off.
+
+    A text with no ``#`` anywhere skips the per-line comment cut."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return lines
+
+
+def _tokenized(lines: list[str]):
+    for line_no, line in enumerate(lines, start=1):
         tokens = line.split()
         if tokens:
             yield line_no, tokens
@@ -54,6 +62,20 @@ class _Body:
     Edges go straight into the adjacency masks ``adj``: each edge line is
     validated here and nowhere else, and :meth:`graph` hands the masks to
     :class:`Graph` without a second check.
+
+    Most lines of a large file are ``e u v`` lines naming vertices seen
+    before, so :meth:`read` keeps two tables that the checked path
+    :meth:`_edge` fills on first sight: ``ids`` maps a canonical id token
+    (``str(v)``, 1 <= v <= n) to its vertex, and ``bits`` maps a vertex to
+    ``1 << v``.  An edge line whose two tokens are both in ``ids``, name
+    distinct vertices and are not joined yet costs two dict lookups and two
+    ORs, with no ``int()``, range test or shift.  Every other edge line takes
+    the checked path: another spelling of an id (``07``, ``+7``, ``1_0``), a
+    repeated edge, a self-loop, a bad token.  So each line is read, and each
+    error reported, as it would be without the tables.  The tables are lazy
+    because an eager ``1 << v`` for every v <= n is Θ(n²) bits, over 600 MB
+    for ``p sfvs 100000 0``; the lazy one holds only the bits of vertices
+    some edge line names, which the masks hold anyway.
     """
 
     def __init__(self, n: int, m: int):
@@ -63,6 +85,8 @@ class _Body:
         self.adj = [0] * (n + 1)
         self.special: tuple[int, ...] | None = None
         self.budget: int | None = None
+        self.ids: dict[str, int] = {}
+        self.bits: dict[int, int] = {}
 
     def _vertex(self, token: str, line_no: int) -> int:
         v = _int(token, line_no, "vertex id")
@@ -70,43 +94,66 @@ class _Body:
             raise ParseError(line_no, f"vertex id {v} out of range 1..{self.n}")
         return v
 
-    def read(self, lines, line_no: int, extra=None) -> int:
+    def read(self, lines: list[str], line_no: int, extra=None) -> int:
         """Feed every line after the header (line ``line_no``) and return the
-        number of the last one.  ``extra(line_no, tokens)`` takes the
-        format's own directives and returns False for an unknown one."""
-        n = self.n
+        number of the last one that holds tokens.  ``extra(line_no, tokens)``
+        takes the format's own directives and returns False for an unknown
+        one."""
         adj = self.adj
-        for line_no, tokens in lines:
-            if tokens[0] != "e":
-                if not (self._feed(line_no, tokens) or extra and extra(line_no, tokens)):
-                    raise ParseError(line_no, f"unknown directive {tokens[0]!r}")
-                continue
-            if len(tokens) != 3:
-                raise ParseError(line_no, "edge line needs 'e <u> <v>'")
-            try:
-                u = int(tokens[1])
-                v = int(tokens[2])
-            except ValueError:
-                u = v = 0
-            if not (0 < u <= n and 0 < v <= n):
-                # let _vertex report the first bad token
-                u = self._vertex(tokens[1], line_no)
-                v = self._vertex(tokens[2], line_no)
-            if u == v:
-                raise ParseError(line_no, f"self-loop at vertex {u}")
-            if adj[u] >> v & 1:
-                raise ParseError(line_no, f"duplicate edge {min(u, v)}-{max(u, v)}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        ids = self.ids
+        bits = self.bits
+        start = line_no
+        for line_no, line in enumerate(lines[start:], start + 1):
+            tokens = line.split()
+            if len(tokens) == 3 and tokens[0] == "e":
+                u = ids.get(tokens[1])
+                v = ids.get(tokens[2])
+                if u and v and u != v and not adj[u] & bits[v]:
+                    adj[u] |= bits[v]
+                    adj[v] |= bits[u]
+                else:
+                    self._edge(line_no, tokens)
+            elif tokens and not (self._feed(line_no, tokens) or extra and extra(line_no, tokens)):
+                raise ParseError(line_no, f"unknown directive {tokens[0]!r}")
+        while line_no > start and not lines[line_no - 1].split():
+            line_no -= 1
         # no edge line sets a bit twice, so the masks count the edge lines
         m = sum(a.bit_count() for a in adj) // 2
         if m != self.m:
             raise ParseError(line_no, f"header promises {self.m} edges, file has {m}")
         return line_no
 
+    def _edge(self, line_no: int, tokens: list[str]) -> None:
+        """Check one edge line, add the edge and fill the fast tables."""
+        n = self.n
+        adj = self.adj
+        if len(tokens) != 3:
+            raise ParseError(line_no, "edge line needs 'e <u> <v>'")
+        try:
+            u = int(tokens[1])
+            v = int(tokens[2])
+        except ValueError:
+            u = v = 0
+        if not (0 < u <= n and 0 < v <= n):
+            # let _vertex report the first bad token
+            u = self._vertex(tokens[1], line_no)
+            v = self._vertex(tokens[2], line_no)
+        if u == v:
+            raise ParseError(line_no, f"self-loop at vertex {u}")
+        if adj[u] >> v & 1:
+            raise ParseError(line_no, f"duplicate edge {min(u, v)}-{max(u, v)}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        for token, x in ((tokens[1], u), (tokens[2], v)):
+            self.bits[x] = 1 << x
+            if token == str(x):
+                self.ids[token] = x
+
     def _feed(self, line_no: int, tokens: list[str]) -> bool:
         head = tokens[0]
-        if head == "w":
+        if head == "e":
+            self._edge(line_no, tokens)
+        elif head == "w":
             if len(tokens) != 3:
                 raise ParseError(line_no, "weight line needs 'w <v> <weight>'")
             v = self._vertex(tokens[1], line_no)
@@ -140,8 +187,8 @@ class _Body:
         return Graph._from_adjacency(self.n, self.adj, self.weights)
 
 
-def _header(lines, expected_kinds) -> tuple[int, str, int, int]:
-    for line_no, tokens in lines:
+def _header(lines: list[str], expected_kinds) -> tuple[int, str, int, int]:
+    for line_no, tokens in _tokenized(lines):
         if tokens[0] != "p" or len(tokens) != 4:
             raise ParseError(line_no, "first line must be 'p <kind> <n> <m>'")
         kind = tokens[1]
@@ -156,7 +203,7 @@ def _header(lines, expected_kinds) -> tuple[int, str, int, int]:
 
 
 def parse_instance(text: str) -> ProblemInstance:
-    lines = _tokenized(text)
+    lines = _lines(text)
     line_no, kind, n, m = _header(lines, FILE_KINDS)
     body = _Body(n, m)
     line_no = body.read(lines, line_no)
@@ -192,7 +239,7 @@ def emit_instance(inst: ProblemInstance) -> str:
 def parse_solution_ids(text: str) -> tuple[int, ...]:
     """A removed set: whitespace-separated vertex ids, comments allowed."""
     ids: list[int] = []
-    for line_no, tokens in _tokenized(text):
+    for line_no, tokens in _tokenized(_lines(text)):
         for tok in tokens:
             ids.append(_int(tok, line_no, "vertex id"))
     if len(set(ids)) != len(ids):
@@ -202,7 +249,7 @@ def parse_solution_ids(text: str) -> tuple[int, ...]:
 
 def parse_tripartite(text: str) -> tuple[TripartiteGraph, int | None]:
     """A 'p vc3 n m' file with part A/B/C lines; returns the optional budget too."""
-    lines = _tokenized(text)
+    lines = _lines(text)
     line_no, _, n, m = _header(lines, ("vc3",))
     body = _Body(n, m)
     parts: dict[str, tuple[int, ...]] = {}
@@ -225,7 +272,7 @@ def parse_tripartite(text: str) -> tuple[TripartiteGraph, int | None]:
 
 def parse_multicolored(text: str) -> MulticoloredInstance:
     """A 'p mcis n m' file with 'class <i> <ids...>' lines, i = 1..k."""
-    lines = _tokenized(text)
+    lines = _lines(text)
     line_no, _, n, m = _header(lines, ("mcis",))
     body = _Body(n, m)
     classes: dict[int, tuple[int, ...]] = {}

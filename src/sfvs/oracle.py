@@ -6,8 +6,9 @@ feasible removed set that comes first in canonical order (ascending
 objective, then lexicographically smallest sorted vertex tuple).  The
 unweighted kinds enumerate removed sets in that order and stop at the first
 feasible one.  The weighted kinds make one streaming pass over all 2^n
-removed sets and keep an incumbent, the best feasible set seen so far; only a
-set that would beat it is tested, and memory stays constant in n.  Nothing
+removed sets and keep an incumbent, the best feasible set seen so far, which
+starts at removing all of S (or T), a set feasible by definition; only a set
+that would beat it is tested, and memory stays constant in n.  Nothing
 here is clever on purpose: the point is a referee whose correctness is
 obvious, not speed.
 
@@ -153,13 +154,15 @@ def _solve_unweighted(inst: ProblemInstance) -> Solution:
 def _solve_weighted(inst: ProblemInstance) -> Solution:
     """One pass over every removed set, keeping the best feasible one so far.
 
-    A mask is tested for feasibility only if it would beat the incumbent: a
-    lower weight, or the same weight and a lexicographically smaller id
-    tuple.  Memory stays constant in n.
+    The incumbent starts at removing all of S (or T), which is feasible for
+    both weighted kinds: no S-vertex is left for a cycle to pass through, and
+    no terminal is left to be connected.  A mask is tested for feasibility
+    only if it would beat the incumbent: a lower weight, or the same weight
+    and a lexicographically smaller id tuple.  Memory stays constant in n.
     """
     g = inst.graph
     w = g._w
-    best: tuple[int, tuple[int, ...]] | None = None  # (weight, removed ids)
+    best = (g.weight_of(inst.special), inst.special)  # (weight, removed ids)
     for m in range(0, g.vertex_mask() + 1, 2):  # bit 0 is no vertex
         total = 0
         mm = m
@@ -167,12 +170,8 @@ def _solve_weighted(inst: ProblemInstance) -> Solution:
             b = mm & -mm
             total += w[b.bit_length() - 1]
             mm ^= b
-        if best is not None and (
-            total > best[0] or total == best[0] and ids_of(m) >= best[1]
-        ):
+        if total > best[0] or total == best[0] and ids_of(m) >= best[1]:
             continue
         if feasible_removed(inst, m):
             best = (total, ids_of(m))
-    if best is None:
-        raise PreconditionError("exhausted all subsets without a feasible solution")
     return Solution(best[1], best[0], True)

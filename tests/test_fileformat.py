@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +50,9 @@ class TestParsing:
             ("p sfvs 1 0\ne 1 1\n", "self-loop"),
             ("p sfvs 2 2\ne 1 2\ne 2 1\n", "duplicate edge"),
             ("p sfvs 2 1\ne 1 3\n", "out of range"),
+            # a spelling the fast tables do not hold still finds the edge
+            ("p sfvs 3 2\ne 1 3\ne 01 3\n", "duplicate edge 1-3"),
+            ("p sfvs 2 1\ne 2 02\n", "self-loop"),
             ("p sfvs 2 1\ne 1\n", "edge line needs 'e <u> <v>'"),
             ("p sfvs 2 1\ne 1 x\n", "vertex id must be an integer, got 'x'"),
             ("p sfvs 2 1\ne 0 1\n", "vertex id 0 out of range 1..2"),
@@ -73,10 +78,49 @@ class TestParsing:
         # every case puts the offending line last
         assert err.value.line_no == len(text.splitlines())
 
+    def test_other_spellings_parse_like_canonical_ids(self):
+        # every token the fast tables do not hold takes the checked path,
+        # which reads it with int()
+        inst = ProblemInstance(
+            Graph(12, [(1, 7), (7, 10), (2, 7), (10, 12), (3, 10), (1, 12)], {7: 4}),
+            "wsfvs", (7, 10), budget=6,
+        )
+        spelled = {"7": ["007", "+7", "7"], "10": ["1_0", "10", "0010"]}
+        out = []
+        for line in emit_instance(inst).splitlines():
+            tokens = line.split()
+            if tokens[0] == "e":
+                tokens[1:] = [spelled[t].pop(0) if spelled.get(t) else t for t in tokens[1:]]
+            out.append("\t".join(tokens) + " \t# trailing comment")
+        text = "\r\n".join(out) + "\r\n"
+        assert "007" in text and "+7" in text and "1_0" in text
+        assert parse_instance(text) == inst
+
+    def test_sparse_huge_file_parses_in_little_memory(self):
+        # the fast path's bit table is lazy: an eager 1 << v for every
+        # v <= n is Θ(n²) bits and peaked at 27.8 MB on this file
+        tracemalloc.start()
+        try:
+            inst = parse_instance("p sfvs 20000 1\ne 1 20000\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.graph.edge_count() == 1
+        assert peak < 8 * 2**20, peak
+
     def test_error_line_number_is_right(self):
         with pytest.raises(ParseError) as err:
             parse_instance("p sfvs 2 1\n# fine\ne 1 1\n")
         assert err.value.line_no == 3
+
+    @pytest.mark.parametrize(
+        "text,line_no",
+        [("p sfvs 2 1\n\n# tail\n", 1), ("p sfvs 3 3\ne 1 2\ne 2 3\n \n# tail\n\n", 3)],
+    )
+    def test_edge_count_error_names_the_last_line_with_tokens(self, text, line_no):
+        with pytest.raises(ParseError, match="header promises") as err:
+            parse_instance(text)
+        assert err.value.line_no == line_no
 
 
 class TestEmission:
