@@ -150,10 +150,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.input))
-    removed = parse_solution_ids(_read(args.solution))
-    for v in removed:
-        if not (1 <= v <= inst.graph.n):
-            raise ParseError(1, f"solution vertex {v} out of range 1..{inst.graph.n}")
+    removed = parse_solution_ids(_read(args.solution), inst.graph.n)
     ok = feasible_removed(inst, removed)
     objective = _objective_of(inst, removed)
     print(f"feasible {str(ok).lower()}")

@@ -236,15 +236,22 @@ def emit_instance(inst: ProblemInstance) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_solution_ids(text: str) -> tuple[int, ...]:
-    """A removed set: whitespace-separated vertex ids, comments allowed."""
-    ids: list[int] = []
+def parse_solution_ids(text: str, n: int) -> tuple[int, ...]:
+    """A removed set of a graph on ``1..n``: whitespace-separated vertex ids,
+    comments allowed.
+
+    The first faulty id in reading order is reported, at its own line.
+    """
+    removed: set[int] = set()
     for line_no, tokens in _tokenized(_lines(text)):
         for tok in tokens:
-            ids.append(_int(tok, line_no, "vertex id"))
-    if len(set(ids)) != len(ids):
-        raise ParseError(1, "solution repeats a vertex")
-    return tuple(sorted(ids))
+            v = _int(tok, line_no, "vertex id")
+            if not (1 <= v <= n):
+                raise ParseError(line_no, f"solution vertex {v} out of range 1..{n}")
+            if v in removed:
+                raise ParseError(line_no, "solution repeats a vertex")
+            removed.add(v)
+    return tuple(sorted(removed))
 
 
 def parse_tripartite(text: str) -> tuple[TripartiteGraph, int | None]:

@@ -4,7 +4,10 @@ The network solver is a deterministic Edmonds-Karp: breadth-first search of
 augmenting paths, neighbors scanned in ascending node id, so the computed flow
 and the residual min cut are reproducible bit for bit.  Node ids of a
 :class:`FlowNetwork` are ``0..node_count-1`` and independent of graph vertex
-ids; the derived solvers do their own encoding.
+ids.  The two vertex-cut solvers map vertices to nodes themselves: the
+bipartite cover takes vertex masks and per-vertex adjacency and weight
+sequences, so its callers pass their own masks and ``Graph`` arrays and get
+a mask back; the separator takes a graph and vertex ids.
 
 Infinite capacities are written as ``None``.  Internally they are replaced by
 a finite surrogate (one more than the sum of all finite capacities), which
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import (
     Graph,
@@ -25,6 +28,7 @@ from .graph import (
     PreconditionError,
     _bits,
     check_vertices,
+    ids_of,
 )
 
 Capacity = int | None  # None means infinite
@@ -150,52 +154,35 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     return MaxFlowResult(value, cut)
 
 
-def _bipartite_cover_net(
-    left: tuple[int, ...],
-    right: tuple[int, ...],
-    edges: list[tuple[int, int]],
-    weight: dict[int, int],
-) -> tuple[FlowNetwork, dict[int, int]]:
-    """Source -> left -> right -> sink network whose min cut is a vertex cover."""
-    node_of = {}
-    for i, v in enumerate(left + right):
-        node_of[v] = i + 1
-    sink = len(left) + len(right) + 1
-    arcs: list[tuple[int, int, Capacity]] = []
-    for v in left:
-        arcs.append((0, node_of[v], weight[v]))
-    for v in right:
-        arcs.append((node_of[v], sink, weight[v]))
-    for a, b in edges:
-        arcs.append((node_of[a], node_of[b], None))
-    return FlowNetwork(sink + 1, tuple(arcs), 0, sink), node_of
-
-
-def _cover_from_cut(
-    left: tuple[int, ...],
-    right: tuple[int, ...],
-    node_of: dict[int, int],
-    sink: int,
-    cut: tuple[tuple[int, int], ...],
-) -> tuple[int, ...]:
-    cut_set = set(cut)
-    cover = [v for v in left if (0, node_of[v]) in cut_set]
-    cover += [v for v in right if (node_of[v], sink) in cut_set]
-    return tuple(sorted(cover))
-
-
 def _solve_bipartite_cover(
-    left: tuple[int, ...],
-    right: tuple[int, ...],
-    edges: list[tuple[int, int]],
-    weight: dict[int, int],
-) -> tuple[int, tuple[int, ...]]:
-    """(minimum cover weight, one minimum cover from the residual cut)."""
-    if not edges:
-        return 0, ()
-    net, node_of = _bipartite_cover_net(left, right, edges, weight)
-    value, cut = max_flow(net)
-    return value, _cover_from_cut(left, right, node_of, net.sink, cut)
+    left: int, right: int, adj: Sequence[int], weight: Sequence[int]
+) -> tuple[int, int]:
+    """Minimum-weight vertex cover of the edges between the disjoint vertex
+    masks ``left`` and ``right``: (its weight, one minimum cover as a mask).
+
+    ``adj`` and ``weight`` are indexed by vertex.  Only left-right edges
+    count; other bits of ``adj`` are ignored.  The network runs source ->
+    left -> right -> sink, nodes numbered left then right in ascending id,
+    with each vertex's weight on its source or sink arc and infinite
+    left-right arcs.  A minimum cut never holds an infinite arc, so the
+    cover is read off the cut's source and sink arcs.
+    """
+    left_ids, right_ids = ids_of(left), ids_of(right)
+    order = left_ids + right_ids
+    node = {v: i for i, v in enumerate(order, 1)}
+    sink = len(order) + 1
+    arcs: list[tuple[int, int, Capacity]] = [
+        (node[u], node[v], None) for u in left_ids for v in _bits(adj[u] & right)
+    ]
+    if not arcs:
+        return 0, 0
+    arcs += [(0, node[u], weight[u]) for u in left_ids]
+    arcs += [(node[v], sink, weight[v]) for v in right_ids]
+    value, cut = max_flow(FlowNetwork(sink + 1, tuple(arcs), 0, sink))
+    cover = 0
+    for a, b in cut:
+        cover |= 1 << order[(b if a == 0 else a) - 1]
+    return value, cover
 
 
 def min_vertex_separator(
@@ -233,7 +220,7 @@ def min_vertex_separator(
     for v in range(1, n + 1):
         capv: Capacity = None if protected >> v & 1 else g.weight(v)
         arcs.append((v_in(v), v_out(v), capv))
-    for u, v in sorted(g.edges):
+    for u, v in g.edge_pairs():
         arcs.append((v_out(u), v_in(v), None))
         arcs.append((v_out(v), v_in(u), None))
     for v in _bits(sm):

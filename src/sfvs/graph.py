@@ -5,10 +5,11 @@ simple undirected graph with a positive integer weight per vertex (default 1).
 Graphs are immutable after construction, so they can be shared freely between
 solvers and threads.
 
-Vertex sets are passed around as plain iterables of ids and returned as sorted
-tuples.  Internally everything runs on integer bitmasks (bit ``v`` stands for
-vertex ``v``; bit 0 is unused), which keeps the exponential enumerations in
-the rest of the package fast enough for exhaustive testing.
+Public functions take vertex sets as plain iterables of ids and return them as
+sorted tuples.  Internally everything runs on integer bitmasks (bit ``v``
+stands for vertex ``v``; bit 0 is unused), and sets cross between internal
+functions only as masks, which keeps the exponential enumerations in the rest
+of the package fast enough for exhaustive testing.
 
 The central predicate is :func:`is_s_forest`: given a vertex subset ``x`` and
 a distinguished set ``s``, decide whether no cycle of ``G[x]`` passes through
@@ -91,6 +92,21 @@ def _bits(mask: int) -> Iterator[int]:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def _removed_first(a: int, b: int) -> bool:
+    """The canonical tie-break: True iff removed set ``a`` comes before
+    removed set ``b`` of equal objective.
+
+    Canonical order ranks the sorted id tuples lexicographically, and that is
+    decided by the lowest vertex of ``a ^ b``: ``a`` comes first iff it holds
+    that vertex.  Equal objectives with positive weights mean neither set is
+    a strict prefix of the other, so nothing else can decide.  Bits the two
+    masks share do not matter, so both may leave out a common part, and both
+    may be given as the complements ``~kept`` of kept sets.
+    """
+    diff = a ^ b
+    return bool(diff & -diff & a)
 
 
 class Graph:

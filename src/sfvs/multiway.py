@@ -24,6 +24,7 @@ from .graph import (
     InternalInvariantError,
     PreconditionError,
     _bits,
+    _removed_first,
     check_vertices,
     ids_of,
     mask_of,
@@ -74,11 +75,10 @@ def solve_nmc_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     common = adj[t1] & adj[t2]
     a = adj[t1] & ~common
     b = adj[t2] & ~common
-    edges = [(u, v) for u in _bits(a) for v in _bits(adj[u] & b)]
     n = g.n
-    weight = {v: (1 << (n + 1)) - (1 << (n - v)) for v in _bits(a | b)}
-    _, cover = _solve_bipartite_cover(ids_of(a), ids_of(b), edges, weight)
-    removed = ids_of(common | mask_of(cover))
+    weight = [(1 << (n + 1)) - (1 << (n - v)) for v in range(n + 1)]
+    _, cover = _solve_bipartite_cover(a, b, adj, weight)
+    removed = ids_of(common | cover)
     if not check_multiway(g, terms, removed, deletable=False):
         raise InternalInvariantError("cut failed the multiway recheck")
     return Solution(removed, len(removed), True)
@@ -86,8 +86,9 @@ def solve_nmc_alpha2(g: Graph, t: Iterable[int]) -> Solution:
 
 def _smallest_cut(
     g: Graph, avail_mask: int, t_mask: int, limit: int
-) -> tuple[int, tuple[int, ...]] | None:
-    """Smallest X within ``avail`` (|X| <= limit) separating the terminals left.
+) -> tuple[int, int] | None:
+    """Smallest X within ``avail`` (|X| <= limit) separating the terminals
+    left, as (|X|, X mask).
 
     First hit in ascending-size, lexicographic order is the canonical optimum.
     """
@@ -97,7 +98,7 @@ def _smallest_cut(
             xm = mask_of(members)
             kept = avail_mask & ~xm
             if _terminals_separated(g, kept, t_mask & kept):
-                return k, members
+                return k, xm
     return None
 
 
@@ -122,38 +123,32 @@ def solve_nmcdt_xp(g: Graph, t: Iterable[int], d: int) -> Solution:
     if len(t_ids) <= d:
         found = _smallest_cut(g, full, tm, len(t_ids))
         assert found is not None  # X = T is always feasible
-        size, members = found
-        return Solution(members, size, True)
+        size, xm = found
+        return Solution(ids_of(xm), size, True)
 
     adj = g._adj
-    best: tuple[int, tuple[int, ...]] | None = None
-    solved_u: set[int] = set()  # guard against re-solving one deletion set
-    for keep in range(d + 1):
+    best_size, best = len(t_ids), tm  # keep = 0: removing every terminal
+    for keep in range(1, d + 1):
         for t_keep in combinations(t_ids, keep):
             km = mask_of(t_keep)
             if any(adj[v] & km for v in t_keep):
                 continue  # surviving terminals must be independent
             um = tm & ~km
-            if um in solved_u:
-                continue
-            solved_u.add(um)
             base = um.bit_count()
-            if best is not None and base > best[0]:
+            if base > best_size:
                 continue
-            limit = keep if best is None else min(keep, best[0] - base)
-            found = _smallest_cut(g, full & ~um, km, limit)
+            found = _smallest_cut(g, full & ~um, km, min(keep, best_size - base))
             if found is None:
                 continue
-            size, members = found
+            size, xm = found
             total = base + size
-            removed = tuple(sorted(ids_of(um) + members))
-            cand = (total, removed)
-            if best is None or cand < best:
-                best = cand
-    assert best is not None  # keep = 0 always yields a feasible branch
-    if not check_multiway(g, t_ids, best[1], deletable=True):
+            removed = um | xm
+            if total < best_size or total == best_size and _removed_first(removed, best):
+                best_size, best = total, removed
+    removed = ids_of(best)
+    if not check_multiway(g, t_ids, removed, deletable=True):
         raise InternalInvariantError("deletable-terminal cut failed the recheck")
-    return Solution(best[1], best[0], True)
+    return Solution(removed, best_size, True)
 
 
 def solve_wnmcdt_alpha2(g: Graph, t: Iterable[int]) -> Solution:

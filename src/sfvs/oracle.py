@@ -26,6 +26,7 @@ from .graph import (
     Graph,
     PreconditionError,
     _bits,
+    _removed_first,
     _s_cycle_free,
     check_vertices,
     components_of_mask,
@@ -158,11 +159,12 @@ def _solve_weighted(inst: ProblemInstance) -> Solution:
     both weighted kinds: no S-vertex is left for a cycle to pass through, and
     no terminal is left to be connected.  A mask is tested for feasibility
     only if it would beat the incumbent: a lower weight, or the same weight
-    and a lexicographically smaller id tuple.  Memory stays constant in n.
+    and first by ``sfvs.graph``'s one tie-break rule, ``_removed_first``.
+    Memory stays constant in n.
     """
     g = inst.graph
     w = g._w
-    best = (g.weight_of(inst.special), inst.special)  # (weight, removed ids)
+    best_weight, best = g.weight_of(inst.special), inst.special_mask()
     for m in range(0, g.vertex_mask() + 1, 2):  # bit 0 is no vertex
         total = 0
         mm = m
@@ -170,8 +172,8 @@ def _solve_weighted(inst: ProblemInstance) -> Solution:
             b = mm & -mm
             total += w[b.bit_length() - 1]
             mm ^= b
-        if total > best[0] or total == best[0] and ids_of(m) >= best[1]:
+        if total > best_weight or total == best_weight and not _removed_first(m, best):
             continue
         if feasible_removed(inst, m):
-            best = (total, ids_of(m))
-    return Solution(best[1], best[0], True)
+            best_weight, best = total, m
+    return Solution(ids_of(best), best_weight, True)

@@ -63,6 +63,7 @@ from .graph import (
     _add_vertex,
     _bits,
     _relabel,
+    _removed_first,
     _s_cycle_free,
     _touched,
     check_vertices,
@@ -214,17 +215,14 @@ def _b_mask(g: Graph, x_mask: int, s_mask: int, a_mask: int) -> int:
 def _beats(weight: int, kept: int, best_weight: int, best_kept: int) -> bool:
     """True iff kept set ``kept`` comes before ``best_kept`` canonically.
 
-    The heavier kept set wins.  At equal weight the one whose removed set is
-    lexicographically smaller wins, and that is the one removing the lowest
-    vertex of ``kept ^ best_kept``: ``kept`` wins iff that bit lies in
-    ``best_kept``.  Weights are positive, so two tied removed sets are never
-    strict prefixes of each other and the lowest differing bit decides.  Both
-    masks may leave out a common part of equal weight, such as the shared x.
+    The heavier kept set wins.  At equal weight the removed sets, the
+    complements of the kept ones, are ordered by ``sfvs.graph``'s one
+    tie-break rule, ``_removed_first``.  Both masks may leave out a common
+    part of equal weight, such as the shared x.
     """
     if weight != best_weight:
         return weight > best_weight
-    diff = kept ^ best_kept
-    return bool(diff & -diff & best_kept)
+    return _removed_first(~kept, ~best_kept)
 
 
 def _case_a1(g: Graph, x_mask: int, b: int) -> tuple[int, int]:
@@ -251,7 +249,6 @@ def _case_a1a2(
     if not b1 or not b2:
         return None
     adj = g._adj
-    weight = {v: g.weight(v) for v in _bits(b1 | b2)}
     best = None
     best_weight = 0
     for w1 in _bits(b1):
@@ -271,17 +268,7 @@ def _case_a1a2(
                             "refined candidate set is not a clique; "
                             "an upstream precondition failed"
                         )
-            edges = []
-            for l in _bits(b1p):
-                for r in _bits(adj[l] & b2p):
-                    edges.append((l, r))
-            if edges:
-                left = ids_of(b1p)
-                right = ids_of(b2p)
-                _, cover = _solve_bipartite_cover(left, right, edges, weight)
-                u_mask = mask_of(cover)
-            else:
-                u_mask = 0
+            _, u_mask = _solve_bipartite_cover(b1p, b2p, adj, g._w)
             c1 = w1_bit | (b1p & ~u_mask)
             c2 = w2_bit | (b2p & ~u_mask)
             kept = x_mask | c1 | c2
@@ -382,8 +369,7 @@ def solve_sfvs_xp(g: Graph, s: Iterable[int], d: int) -> Solution:
     non_s = ids_of(full & ~s_mask)
     cap = 2 * d
 
-    best_size = g.n + 1
-    best_removed: tuple[int, ...] | None = None
+    best_size, best = len(s_ids), s_mask  # removing all of S is always feasible
     for keep_count in range(min(cap, len(s_ids)), -1, -1):
         base = len(s_ids) - keep_count
         if base > best_size:
@@ -396,12 +382,8 @@ def solve_sfvs_xp(g: Graph, s: Iterable[int], d: int) -> Solution:
                     break
                 for x2 in combinations(non_s, extra):
                     removed = s_removed | mask_of(x2)
-                    if size == best_size:
-                        assert best_removed is not None
-                        if ids_of(removed) >= best_removed:
-                            continue
+                    if size == best_size and not _removed_first(removed, best):
+                        continue
                     if _s_cycle_free(g, full & ~removed, s_mask):
-                        best_size = size
-                        best_removed = ids_of(removed)
-    assert best_removed is not None  # removing all of S is always feasible
-    return Solution(best_removed, best_size, True)
+                        best_size, best = size, removed
+    return Solution(ids_of(best), best_size, True)

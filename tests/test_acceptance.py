@@ -41,6 +41,7 @@ from sfvs import (
 from sfvs.fileformat import emit_instance
 from sfvs.flow import FlowNetwork, _solve_bipartite_cover
 from sfvs.generate import generate_instance
+from sfvs.graph import ids_of, mask_of
 
 from conftest import (
     atlas_alpha3,
@@ -304,9 +305,15 @@ def test_criterion_9_flow_suite():
             left = tuple(range(1, nl + 1))
             right = tuple(range(nl + 1, nl + nr + 1))
             edges = [(a, b) for a in left for b in right if rng.random() < 0.35]
-            weights = {v: rng.randint(1, 9) for v in left + right}
-            _, got = _solve_bipartite_cover(left, right, edges, weights)
-            want = brute_bipartite_cover_weight(left, right, edges, weights)
+            weights = [0] + [rng.randint(1, 9) for _ in left + right]
+            adj = Graph(nl + nr, edges)._adj
+            _, cover = _solve_bipartite_cover(
+                mask_of(left), mask_of(right), adj, weights
+            )
+            got = ids_of(cover)
+            want = brute_bipartite_cover_weight(
+                left, right, edges, dict(enumerate(weights))
+            )
             assert all(a in got or b in got for a, b in edges)
             assert sum(weights[v] for v in got) == want
         note["detail"] = "200 networks, 500 bipartite instances "

@@ -131,6 +131,13 @@ class TestCheck:
         sol = write(tmp_path, "sol.txt", "9\n")
         assert main(["check", "--input", inst, "--solution", sol]) == 2
 
+    def test_out_of_range_error_names_its_line(self, tmp_path, capsys):
+        inst = write(tmp_path, "p3.txt", "p sfvs 3 0\n")
+        sol = write(tmp_path, "sol.txt", "1\n# c\n9\n")
+        assert main(["check", "--input", inst, "--solution", sol]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 3: solution vertex 9 out of range 1..3\n"
+
 
 class TestGen:
     def test_fixed_seed_is_byte_identical(self, tmp_path, capsys):

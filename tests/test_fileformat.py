@@ -160,14 +160,28 @@ class TestEmission:
 
 class TestSolutionFiles:
     def test_simple_line(self):
-        assert parse_solution_ids("3 1 2\n") == (1, 2, 3)
+        assert parse_solution_ids("3 1 2\n", 3) == (1, 2, 3)
 
     def test_empty_is_empty(self):
-        assert parse_solution_ids("\n# nothing\n") == ()
+        assert parse_solution_ids("\n# nothing\n", 0) == ()
 
     def test_duplicates_rejected(self):
         with pytest.raises(ParseError):
-            parse_solution_ids("1 1\n")
+            parse_solution_ids("1 1\n", 3)
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("1\n2\n# x\n1\n", 4, "solution repeats a vertex"),
+            ("1\n# c\n9\n", 3, "solution vertex 9 out of range 1..3"),
+        ],
+        ids=["repeat", "out-of-range"],
+    )
+    def test_errors_name_their_own_line(self, text, line_no, message):
+        with pytest.raises(ParseError) as info:
+            parse_solution_ids(text, 3)
+        assert info.value.line_no == line_no
+        assert str(info.value) == f"line {line_no}: {message}"
 
 
 class TestReductionSources:

@@ -11,6 +11,7 @@ from sfvs import (
     min_vertex_separator,
 )
 from sfvs.flow import _solve_bipartite_cover
+from sfvs.graph import ids_of, mask_of
 
 from conftest import (
     brute_bipartite_cover_weight,
@@ -82,30 +83,43 @@ class TestMaxFlow:
 
 class TestBipartiteCover:
     def test_no_edges_empty_cover(self):
-        assert _solve_bipartite_cover((1, 2), (3,), [], {1: 1, 2: 1, 3: 1}) == (0, ())
+        assert _solve_bipartite_cover(0b0110, 0b1000, [0] * 4, [0, 1, 1, 1]) == (0, 0)
 
     def test_single_edge_picks_cheap_endpoint(self):
-        assert _solve_bipartite_cover((1,), (2,), [(1, 2)], {1: 1, 2: 5}) == (1, (1,))
+        adj = Graph(2, [(1, 2)])._adj
+        assert _solve_bipartite_cover(0b010, 0b100, adj, [0, 1, 5]) == (1, 0b010)
 
     def test_star_center_beats_leaves(self):
-        got = _solve_bipartite_cover((1, 2), (3,), [(1, 3), (2, 3)], {1: 2, 2: 2, 3: 3})
-        assert got == (3, (3,))
+        adj = Graph(3, [(1, 3), (2, 3)])._adj
+        got = _solve_bipartite_cover(0b0110, 0b1000, adj, [0, 2, 2, 3])
+        assert got == (3, 0b1000)
 
     def test_matches_brute_force_and_is_minimal(self, rng):
         for _ in range(250):
             nl, nr = rng.randint(0, 6), rng.randint(0, 6)
+            n = nl + nr + 2  # two vertices outside both sides
             left = tuple(range(1, nl + 1))
             right = tuple(range(nl + 1, nl + nr + 1))
             edges = [(a, b) for a in left for b in right if rng.random() < 0.4]
-            weights = {v: rng.randint(1, 9) for v in left + right}
-            value, got = _solve_bipartite_cover(left, right, edges, weights)
-            got_set = set(got)
-            assert all(a in got_set or b in got_set for a, b in edges)
-            want = brute_bipartite_cover_weight(left, right, edges, weights)
+            # edges inside a side or to an outside vertex must be ignored
+            noise = [
+                (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                if not a <= nl < b <= nl + nr and rng.random() < 0.3
+            ]
+            weights = [0] + [rng.randint(1, 9) for _ in range(n)]
+            value, cover = _solve_bipartite_cover(
+                mask_of(left), mask_of(right), Graph(n, edges + noise)._adj, weights
+            )
+            got = set(ids_of(cover))
+            assert got <= set(left + right)
+            assert all(a in got or b in got for a, b in edges)
+            want = brute_bipartite_cover_weight(
+                left, right, edges, {v: weights[v] for v in left + right}
+            )
             assert sum(weights[v] for v in got) == value == want
             # positive weights make optimal covers minimal; check anyway
             for v in got:
-                rest = got_set - {v}
+                rest = got - {v}
                 assert any(a not in rest and b not in rest for a, b in edges)
 
 

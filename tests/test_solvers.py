@@ -16,7 +16,7 @@ from sfvs import (
 )
 from sfvs import solvers
 from sfvs.generate import generate_instance
-from sfvs.graph import _add_vertex, ids_of, mask_of
+from sfvs.graph import _add_vertex, _removed_first, ids_of, mask_of
 from sfvs.solvers import (
     _b_mask,
     _beats,
@@ -63,6 +63,18 @@ def candidate_ok(g: Graph, x, s, d: int) -> bool:
     if not (xs - ss) <= set(neighborhood(g, sorted(kept_s))):
         return False
     return nx_is_s_forest(g, x, s)
+
+
+def reaching_family():
+    """200 seeded ``(seed, g, s)``: low p, few S-vertices and heavy S on odd
+    seeds.  Unlike the usual mix, this family makes each of the four
+    completion cases the canonical optimum often."""
+    for seed in range(200):
+        inst = generate_instance(
+            6 + seed % 6, 3, 0.05, seed, "wsfvs", (0.1, 0.3)[seed // 2 % 2], 3
+        )
+        g = heavy_s(inst.graph, inst.special, 5) if seed % 2 else inst.graph
+        yield seed, g, inst.special
 
 
 class TestCandidateEnumeration:
@@ -517,8 +529,6 @@ class TestWeightedAlpha3:
         assert 0 < drawn < unpruned, (drawn, unpruned)
 
     def test_every_completion_case_wins_on_the_reaching_family(self, monkeypatch):
-        # low p, few S-vertices and heavy S on odd seeds: unlike the usual mix,
-        # this family makes each of the four cases the canonical optimum often
         produced = {}  # kept mask -> the completion case that returned it
         real_a1, real_a1a2 = solvers._case_a1, solvers._case_a1a2
 
@@ -536,21 +546,41 @@ class TestWeightedAlpha3:
         monkeypatch.setattr(solvers, "_case_a1", case_a1)
         monkeypatch.setattr(solvers, "_case_a1a2", case_a1a2)
         wins = Counter()
-        for seed in range(200):
-            inst = generate_instance(
-                6 + seed % 6, 3, 0.05, seed, "wsfvs", (0.1, 0.3)[seed // 2 % 2], 3
-            )
-            g = heavy_s(inst.graph, inst.special, 5) if seed % 2 else inst.graph
+        for seed, g, s in reaching_family():
             produced.clear()
-            got = solve_wsfvs_alpha3(g, inst.special)
-            want = oracle_solve(ProblemInstance(g, "wsfvs", inst.special))
-            assert got.removed == want.removed, (seed, g.edges, inst.special)
+            got = solve_wsfvs_alpha3(g, s)
+            want = oracle_solve(ProblemInstance(g, "wsfvs", s))
+            assert got.removed == want.removed, (seed, g.edges, s)
             kept = g.vertex_mask() & ~mask_of(got.removed)
-            if not kept & mask_of(inst.special):
+            if not kept & mask_of(s):
                 wins["all of S removed"] += 1
             else:
                 wins[produced.get(kept, "X alone")] += 1
         assert len(wins) == 4 and min(wins.values()) >= 10, wins
+
+    def test_weights_times_2_64_keep_every_removed_set(self, monkeypatch):
+        # capacities past 64 bits through the bipartite cover, on the family
+        # above and on wnmcdt-a2 instances beyond the oracle guard
+        cover_values = []
+        real_cover = solvers._solve_bipartite_cover
+
+        def cover(*args):
+            res = real_cover(*args)
+            cover_values.append(res[0])
+            return res
+
+        monkeypatch.setattr(solvers, "_solve_bipartite_cover", cover)
+        cases = [(solve_wsfvs_alpha3, g, s) for _, g, s in reaching_family()]
+        for n in (26, 30):
+            inst = generate_instance(n, 2, 0.3, n, "wnmcdt", 0.5, wmax=5)
+            cases.append((solve_wnmcdt_alpha2, inst.graph, inst.special))
+        for solve, g, s in cases:
+            want = solve(g, s)
+            scaled = Graph(g.n, g.edges, {v: g.weight(v) << 64 for v in g.vertices()})
+            got = solve(scaled, s)
+            assert got.removed == want.removed, (solve.__name__, g.edges, s)
+            assert got.objective == want.objective << 64
+        assert any(value >> 64 for value in cover_values)
 
 
 class TestUnweightedXP:
@@ -632,6 +662,8 @@ class TestCanonicalTieBreak:
             want = ids_of(full & ~k1) < ids_of(full & ~k2)
             assert _beats(w1, k1, w2, k2) == want, (n, k1, k2)
             assert _beats(w2, k2, w1, k1) == (not want), (n, k1, k2)
+            assert _removed_first(full & ~k1, full & ~k2) == want, (n, k1, k2)
+            assert _removed_first(full & ~k2, full & ~k1) == (not want), (n, k1, k2)
             checked += 1
         assert checked > 200
 
