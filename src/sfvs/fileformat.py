@@ -27,9 +27,13 @@ FILE_KINDS = ("wsfvs", "sfvs", "fvs", "nmc", "nmcdt", "wnmcdt")
 
 
 class ParseError(ValueError):
+    """A rejected input text.  ``line_no`` is the faulty line, or 0 when the
+    fault belongs to no line (an unreadable or empty file), which the message
+    then does not name."""
+
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(f"line {line_no}: {message}" if line_no else message)
 
 
 def _lines(text: str) -> list[str]:

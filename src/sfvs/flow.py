@@ -1,8 +1,15 @@
 """Integer max-flow and the two vertex-cut solvers derived from it.
 
-The network solver is a deterministic Edmonds-Karp: breadth-first search of
-augmenting paths, neighbors scanned in ascending node id, so the computed flow
-and the residual min cut are reproducible bit for bit.  Node ids of a
+The network solver runs Dinic phases: a breadth-first search sets levels in
+the residual network, then an iterative depth-first search (no recursion, so
+networks of any length run) augments along shortest paths until none is
+left, neighbours scanned in ascending node id.  Shortest-path augmentation
+keeps the number of augmentations independent of the capacities, which
+reach 150 bits in ``nmc-a2``'s covers.  The cut does not depend on which
+maximum flow the phases find: every maximum flow leaves the same set
+reachable from the source in its residual network (the source side of the
+minimal minimum cut), so the value, ``cut_arcs`` and every cover and
+separator read off them are reproducible bit for bit.  Node ids of a
 :class:`FlowNetwork` are ``0..node_count-1`` and independent of graph vertex
 ids.  The two vertex-cut solvers map vertices to nodes themselves: the
 bipartite cover takes vertex masks and per-vertex adjacency and weight
@@ -106,34 +113,54 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     value = 0
     s, t = net.source, net.sink
     while True:
-        prev = [-1] * n
-        prev[s] = s
+        # One Dinic phase: BFS levels in the residual network...
+        level = [-1] * n
+        level[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
             if u == t:
                 break
+            up = level[u] + 1
+            ru = res[u]
             for v in adj[u]:
-                if prev[v] < 0 and res[u][v] > 0:
-                    prev[v] = u
+                if level[v] < 0 and ru[v] > 0:
+                    level[v] = up
                     queue.append(v)
-        if prev[t] < 0:
+        if level[t] < 0:
             break
-        bottleneck = None
-        v = t
-        while v != s:
-            u = prev[v]
-            r = res[u][v]
-            if bottleneck is None or r < bottleneck:
-                bottleneck = r
-            v = u
-        v = t
-        while v != s:
-            u = prev[v]
-            res[u][v] -= bottleneck
-            res[v][u] += bottleneck
-            v = u
-        value += bottleneck
+        # ...then a blocking flow along level + 1 arcs by iterative DFS.  A
+        # node's pointer skips the arcs it has used up; a dead end leaves the
+        # level graph.  After an augmentation the path is cut back to the
+        # tail of its first saturated arc.
+        ptr = [0] * n
+        path = [s]
+        while path:
+            u = path[-1]
+            nbrs = adj[u]
+            ru = res[u]
+            up = level[u] + 1
+            for i in range(ptr[u], len(nbrs)):
+                v = nbrs[i]
+                if level[v] == up and ru[v] > 0:
+                    break
+            else:
+                level[u] = -1
+                path.pop()
+                continue
+            ptr[u] = i
+            path.append(v)
+            if v != t:
+                continue
+            bottleneck = min(res[a][b] for a, b in zip(path, path[1:]))
+            for i in range(len(path) - 2, -1, -1):
+                a, b = path[i], path[i + 1]
+                res[a][b] -= bottleneck
+                res[b][a] += bottleneck
+                if not res[a][b]:
+                    first_saturated = i
+            del path[first_saturated + 1:]
+            value += bottleneck
 
     reach = {s}
     queue = deque([s])

@@ -165,10 +165,11 @@ def solve_wnmcdt_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     if not terms:
         return Solution((), 0, True)
     apex = g.n + 1
-    edges = list(g.edges) + [(v, apex) for v in terms]
+    adj = [a | (tm >> v & 1) << apex for v, a in enumerate(g._adj)]
+    adj.append(tm)
     weights = {v: g.weight(v) for v in g.vertices()}
     weights[apex] = g.total_weight()
-    extended = Graph(g.n + 1, edges, weights)
+    extended = Graph._from_adjacency(apex, adj, weights)
     inner = solve_wsfvs_alpha3(extended, (apex,))
     if apex in inner.removed:
         raise InternalInvariantError("the apex outweighs every solution, yet was removed")

@@ -9,6 +9,7 @@ agreement actually means something.
 from __future__ import annotations
 
 import random
+from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
@@ -16,6 +17,7 @@ import networkx as nx
 import pytest
 
 from sfvs import Graph, PreconditionError, independence_at_most
+from sfvs.flow import FlowNetwork, MaxFlowResult, UnboundedFlowError
 from sfvs.graph import _bits, check_vertices, components_of_mask, ids_of, mask_of
 
 
@@ -243,6 +245,93 @@ def forest_labels(g: Graph, x, s) -> tuple[list[int], list[int]]:
             for v in _bits(comp):
                 labels[v] = comp
     return ycomp, tree
+
+
+def edmonds_karp_max_flow(net: FlowNetwork) -> MaxFlowResult:
+    """Reference for ``sfvs.max_flow``: the same arc merging, unbounded
+    check, surrogate capacity and residual cut, but one breadth-first
+    augmenting path at a time (Edmonds-Karp) instead of Dinic phases."""
+    n = net.node_count
+    cap = [dict() for _ in range(n)]
+    finite_total = 0
+    for u, v, c in net.arcs:
+        if u == v:
+            continue
+        old = cap[u].get(v, 0)
+        if c is None or old is None:
+            cap[u][v] = None
+        else:
+            cap[u][v] = old + c
+            finite_total += c
+
+    seen = {net.source}
+    queue = deque([net.source])
+    while queue:
+        u = queue.popleft()
+        for v, c in cap[u].items():
+            if c is None and v not in seen:
+                seen.add(v)
+                queue.append(v)
+    if net.sink in seen:
+        raise UnboundedFlowError("unbounded: infinite-capacity path from source to sink")
+
+    surrogate = finite_total + 1
+    res = [dict() for _ in range(n)]
+    for u in range(n):
+        for v, c in cap[u].items():
+            res[u][v] = res[u].get(v, 0) + (surrogate if c is None else c)
+            res[v].setdefault(u, 0)
+    adj = [sorted(res[u]) for u in range(n)]
+
+    value = 0
+    s, t = net.source, net.sink
+    while True:
+        prev = [-1] * n
+        prev[s] = s
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            if u == t:
+                break
+            for v in adj[u]:
+                if prev[v] < 0 and res[u][v] > 0:
+                    prev[v] = u
+                    queue.append(v)
+        if prev[t] < 0:
+            break
+        bottleneck = None
+        v = t
+        while v != s:
+            u = prev[v]
+            r = res[u][v]
+            if bottleneck is None or r < bottleneck:
+                bottleneck = r
+            v = u
+        v = t
+        while v != s:
+            u = prev[v]
+            res[u][v] -= bottleneck
+            res[v][u] += bottleneck
+            v = u
+        value += bottleneck
+
+    reach = {s}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in reach and res[u][v] > 0:
+                reach.add(v)
+                queue.append(v)
+    cut = tuple(
+        sorted(
+            (u, v)
+            for u in reach
+            for v, c in cap[u].items()
+            if v not in reach and (c is None or c > 0)
+        )
+    )
+    return MaxFlowResult(value, cut)
 
 
 def brute_bipartite_cover_weight(left, right, edges, weights) -> int:

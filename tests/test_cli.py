@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from sfvs.cli import ALGOS, main
 
 
@@ -87,6 +89,17 @@ class TestSolve:
     def test_parse_error_exits_two(self, tmp_path, capsys):
         path = write(tmp_path, "bad.txt", "p sfvs 1 1\ne 1 1\n")
         assert main(["solve", "--algo", "oracle", "--input", path]) == 2
+
+    def test_unreadable_file_names_no_line(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.txt")
+        assert main(["solve", "--algo", "oracle", "--input", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_empty_file_names_no_line(self, tmp_path, capsys, text):
+        path = write(tmp_path, "empty.txt", text)
+        assert main(["solve", "--algo", "oracle", "--input", path]) == 2
+        assert capsys.readouterr().err == "error: empty file\n"
 
     def test_kind_mismatch_exits_three(self, tmp_path, capsys):
         path = write(tmp_path, "nmc.txt", "p nmc 1 0\n")

@@ -74,9 +74,11 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             _parse_by_header(text)
         assert fragment in str(err.value)
-        assert str(err.value).startswith("line ")
-        # every case puts the offending line last
+        # every case puts the offending line last; line 0, a fault of no
+        # line, goes unnamed
         assert err.value.line_no == len(text.splitlines())
+        named = f"line {err.value.line_no}: "
+        assert str(err.value).startswith(named) == (err.value.line_no > 0)
 
     def test_other_spellings_parse_like_canonical_ids(self):
         # every token the fast tables do not hold takes the checked path,

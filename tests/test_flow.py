@@ -16,6 +16,7 @@ from sfvs.graph import ids_of, mask_of
 from conftest import (
     brute_bipartite_cover_weight,
     brute_min_separator_weight,
+    edmonds_karp_max_flow,
     path_graph,
     random_graph,
 )
@@ -79,6 +80,32 @@ class TestMaxFlow:
         arcs = tuple(a for a in arcs if a[0] != a[1])
         net = FlowNetwork(6, arcs, 0, 5)
         assert max_flow(net) == max_flow(net)
+
+    def test_same_result_as_edmonds_karp(self, rng):
+        # parallel arcs, self-loops, zero-capacity and infinite arcs, and
+        # capacities up to 2^150 like nmc-a2's cover weights
+        for trial in range(600):
+            n = rng.randint(2, 7) if trial % 6 else rng.randint(8, 30)
+            arcs = []
+            for _ in range(rng.randint(0, 5 * n)):
+                r = rng.random()
+                c = None if r < 0.1 else 0 if r < 0.2 else rng.randint(1, 2 ** rng.choice((3, 64, 150)))
+                arcs.append((rng.randrange(n), rng.randrange(n), c))
+            s, t = rng.sample(range(n), 2)
+            net = FlowNetwork(n, tuple(arcs), s, t)
+            assert _outcome(max_flow, net) == _outcome(edmonds_karp_max_flow, net)
+
+    def test_long_path_needs_no_recursion(self):
+        n = 20_000
+        arcs = tuple((i, i + 1, 5 + i % 7) for i in range(n - 1))
+        assert max_flow(FlowNetwork(n, arcs, 0, n - 1)) == (5, ((0, 1),))
+
+
+def _outcome(solve, net: FlowNetwork):
+    try:
+        return solve(net)
+    except UnboundedFlowError:
+        return "unbounded"
 
 
 class TestBipartiteCover:

@@ -10,6 +10,7 @@ from sfvs import (
     independence_at_most,
     is_s_forest,
 )
+from sfvs.generate import generate_instance
 
 from conftest import (
     atlas_graphs,
@@ -21,6 +22,7 @@ from conftest import (
     neighborhood,
     nx_is_s_forest,
     path_graph,
+    random_bounded_alpha,
     random_graph,
     random_subset,
 )
@@ -181,6 +183,34 @@ class TestIndependence:
         assert find_independent_set(g, 2) == (1, 3)
         assert find_independent_set(g, 3) == (1, 3, 4)
         assert find_independent_set(g, 4) is None
+
+    def test_witness_equals_brute_force(self, rng):
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            g = random_graph(rng, n, rng.random())
+            for k in range(1, 6):
+                want = next(
+                    (c for c in combinations(g.vertices(), k)
+                     if not any(g.has_edge(u, v) for u, v in combinations(c, 2))),
+                    None,
+                )
+                assert find_independent_set(g, k) == want
+
+    def test_search_decides_where_the_greedy_cover_fails(self):
+        # alpha = 2 in both, but the greedy takes {1, 2} and {3, 4} from C5,
+        # and {1, 2} and {3} from the path 3-1-2-4, and leaves a vertex
+        assert find_independent_set(cycle_graph(5), 3) is None
+        assert find_independent_set(Graph(4, [(1, 2), (1, 3), (2, 4)]), 3) is None
+
+    def test_planted_alpha_two_graphs_have_no_witness(self, rng):
+        for n in (100, 117, 133, 149):
+            seed = rng.randrange(2**31)
+            # contiguous planted cliques, as in the benchmark's instances
+            assert find_independent_set(generate_instance(n, 2, 0.6, seed, "nmc").graph, 3) is None
+            # cliques of odd and even ids, which the greedy cover mixes up
+            g = random_bounded_alpha(random.Random(seed), n, 2, 0.3)
+            assert find_independent_set(g, 3) is None
+            assert find_independent_set(g, 2) is not None
 
     def test_bound_matches_maximum_on_atlas(self):
         for g in atlas_graphs(6):
