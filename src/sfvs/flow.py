@@ -5,10 +5,11 @@ the residual network, then an iterative depth-first search (no recursion, so
 networks of any length run) augments along shortest paths until none is
 left, neighbours scanned in ascending node id.  Shortest-path augmentation
 keeps the number of augmentations independent of the capacities, which
-reach 150 bits in ``nmc-a2``'s covers.  The cut does not depend on which
-maximum flow the phases find: every maximum flow leaves the same set
-reachable from the source in its residual network (the source side of the
-minimal minimum cut), so the value, ``cut_arcs`` and every cover and
+reach 150 bits in ``nmc-a2``'s covers.  The last phase's search reaches no
+sink, so its levels mark the source side of the cut.  The cut does not
+depend on which maximum flow the phases find: every maximum flow leaves the
+same set reachable from the source in its residual network (the source side
+of the minimal minimum cut), so the value, ``cut_arcs`` and every cover and
 separator read off them are reproducible bit for bit.  Node ids of a
 :class:`FlowNetwork` are ``0..node_count-1`` and independent of graph vertex
 ids.  The two vertex-cut solvers map vertices to nodes themselves: the
@@ -162,20 +163,14 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
             del path[first_saturated + 1:]
             value += bottleneck
 
-    reach = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in reach and res[u][v] > 0:
-                reach.add(v)
-                queue.append(v)
+    # The last BFS missed t, so it ran to the end: level >= 0 is s's side.
     cut = tuple(
         sorted(
             (u, v)
-            for u in reach
+            for u in range(n)
+            if level[u] >= 0
             for v, c in cap[u].items()
-            if v not in reach and (c is None or c > 0)
+            if level[v] < 0 and (c is None or c > 0)
         )
     )
     return MaxFlowResult(value, cut)
@@ -210,6 +205,15 @@ def _solve_bipartite_cover(
     for a, b in cut:
         cover |= 1 << order[(b if a == 0 else a) - 1]
     return value, cover
+
+
+def _cover_weights(w: Sequence[int]) -> list[int]:
+    """K*w(v) - 2^(n-v), K = 2^(n+1), per vertex v of the weights ``w``
+    (index 0 unused).  The perturbations sum below K, so weight dominates and
+    the set holding the lowest differing vertex is lighter: the one minimum
+    cover is the lightest by ``w`` that comes first by ``_removed_first``."""
+    n = len(w) - 1
+    return [(wv << (n + 1)) - (1 << (n - v)) for v, wv in enumerate(w)]
 
 
 def min_vertex_separator(

@@ -4,13 +4,12 @@ Three regimes are tractable and implemented here:
 
 * plain node multiway cut (terminals are protected) for alpha(G) <= 2, where
   after the trivial no-instance check at most two terminals exist and one
-  max-flow separator finishes the job;
+  pair cut (``_pair_cut``) finishes the job;
 * multiway cut with deletable terminals for alpha(G) <= d, unit weights, by
   branching on which independent set of at most d terminals survives;
-* the weighted deletable variant for alpha(G) <= 2, by attaching one heavy
-  apex vertex to all terminals and handing the graph to the weighted subset
-  feedback vertex set solver (cycles through the apex are exactly the
-  terminal-to-terminal paths).
+* the weighted deletable variant for alpha(G) <= 2: surviving terminals are
+  independent, so at most two survive, and the optimum keeps none, one, or a
+  non-adjacent pair cut apart by the same pair cut.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .flow import _solve_bipartite_cover
+from .flow import _cover_weights, _solve_bipartite_cover
 from .graph import (
     Graph,
     InternalInvariantError,
@@ -31,7 +30,6 @@ from .graph import (
     require_alpha,
 )
 from .oracle import Solution, _terminals_separated
-from .solvers import solve_wsfvs_alpha3
 
 
 def check_multiway(
@@ -49,18 +47,27 @@ def check_multiway(
     return _terminals_separated(g, kept, tm & kept)
 
 
+def _pair_cut(adj: list[int], weight: list[int], t1: int, t2: int, gone: int) -> int:
+    """The canonical minimum cut, as a mask, between non-adjacent t1 and t2
+    in G - gone, where every other vertex sees t1 or t2.
+
+    Every cut removes the common neighbours C.  The rest of the two
+    neighbourhoods, A = N(t1) - N(t2) and B = N(t2) - N(t1), is joined only
+    by A-B edges, so the optimum is C plus a minimum cover of those edges,
+    the canonical one under the ``flow._cover_weights`` list ``weight``.
+    """
+    a, b = adj[t1] & ~gone, adj[t2] & ~gone
+    _, cover = _solve_bipartite_cover(a & ~b, b & ~a, adj, weight)
+    return (a & b) | cover
+
+
 def solve_nmc_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     """Node multiway cut (terminals protected) for alpha(G) <= 2.
 
     Adjacent terminals make the instance infeasible outright.  Otherwise the
     terminal set is independent, hence has at most two members t1 and t2,
-    and every other vertex sees t1 or t2 (else the three would be
-    independent).  Every cut removes the common neighbours C = N(t1) & N(t2).
-    The rest of the two neighbourhoods, A = N(t1) - C and B = N(t2) - C, is
-    joined only by A-B edges, so the optimum is C plus a minimum vertex cover
-    of the bipartite graph between A and B.  Giving vertex v the cover weight
-    2^(n+1) - 2^(n-v) makes cardinality dominate and the lowest differing
-    vertex break ties, so the one minimum cover is the canonical one.
+    every other vertex sees t1 or t2 (else the three would be independent),
+    and the optimum is their ``_pair_cut`` at unit weights.
     """
     require_alpha(g, 2)
     tm = check_vertices(g, t)
@@ -72,13 +79,7 @@ def solve_nmc_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     if len(terms) <= 1:
         return Solution((), 0, True)
     t1, t2 = terms
-    common = adj[t1] & adj[t2]
-    a = adj[t1] & ~common
-    b = adj[t2] & ~common
-    n = g.n
-    weight = [(1 << (n + 1)) - (1 << (n - v)) for v in range(n + 1)]
-    _, cover = _solve_bipartite_cover(a, b, adj, weight)
-    removed = ids_of(common | cover)
+    removed = ids_of(_pair_cut(adj, _cover_weights([1] * (g.n + 1)), t1, t2, 0))
     if not check_multiway(g, terms, removed, deletable=False):
         raise InternalInvariantError("cut failed the multiway recheck")
     return Solution(removed, len(removed), True)
@@ -154,25 +155,31 @@ def solve_nmcdt_xp(g: Graph, t: Iterable[int], d: int) -> Solution:
 def solve_wnmcdt_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     """Weighted multiway cut with deletable terminals for alpha(G) <= 2.
 
-    Adds an apex vertex adjacent to every terminal, with weight equal to the
-    whole graph's weight so it can never be worth removing, and solves
-    weighted subset feedback vertex set with S = {apex} on the result (which
-    has alpha <= 3).
+    Surviving terminals are pairwise disconnected, so non-adjacent; with
+    alpha <= 2 at most two survive.  So the best removed set that keeps no
+    terminal is T, the best that keeps t alone is T - t, and the best that
+    keeps a non-adjacent pair t1 < t2 is U = T - {t1, t2} plus the cut
+    between them in G - U, where every other vertex sees t1 or t2 (else the
+    three are independent).  That cut is ``_pair_cut``'s: U and the common
+    neighbours lie in every cut of the pair, so its canonical cover makes it
+    the pair's canonical best.  The optimum is the best of these candidates
+    by weight, then by ``_removed_first``.
     """
     require_alpha(g, 2)
     tm = check_vertices(g, t)
     terms = ids_of(tm)
-    if not terms:
-        return Solution((), 0, True)
-    apex = g.n + 1
-    adj = [a | (tm >> v & 1) << apex for v, a in enumerate(g._adj)]
-    adj.append(tm)
-    weights = {v: g.weight(v) for v in g.vertices()}
-    weights[apex] = g.total_weight()
-    extended = Graph._from_adjacency(apex, adj, weights)
-    inner = solve_wsfvs_alpha3(extended, (apex,))
-    if apex in inner.removed:
-        raise InternalInvariantError("the apex outweighs every solution, yet was removed")
-    if not check_multiway(g, terms, inner.removed, deletable=True):
-        raise InternalInvariantError("apex reduction produced an invalid multiway cut")
-    return Solution(inner.removed, g.weight_of(inner.removed), True)
+    adj, weight = g._adj, _cover_weights(g._w)
+    candidates = [tm & ~(1 << v) for v in terms]
+    for t1, t2 in combinations(terms, 2):
+        if not adj[t1] >> t2 & 1:
+            gone = tm & ~(1 << t1) & ~(1 << t2)
+            candidates.append(gone | _pair_cut(adj, weight, t1, t2, gone))
+    best, best_weight = tm, g.weight_of_mask(tm)
+    for cand in candidates:
+        cw = g.weight_of_mask(cand)
+        if cw < best_weight or cw == best_weight and _removed_first(cand, best):
+            best, best_weight = cand, cw
+    removed = ids_of(best)
+    if not check_multiway(g, terms, removed, deletable=True):
+        raise InternalInvariantError("deletable-terminal cut failed the recheck")
+    return Solution(removed, best_weight, True)

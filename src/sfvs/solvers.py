@@ -55,7 +55,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .flow import _solve_bipartite_cover
+from .flow import _cover_weights, _solve_bipartite_cover
 from .graph import (
     Graph,
     InternalInvariantError,
@@ -239,11 +239,13 @@ def _case_a1(g: Graph, x_mask: int, b: int) -> tuple[int, int]:
 
 
 def _case_a1a2(
-    g: Graph, x_mask: int, s_mask: int, b1: int, b2: int
+    g: Graph, x_mask: int, s_mask: int, b1: int, b2: int, weight: Sequence[int]
 ) -> tuple[int, int, int] | None:
     """Best completion with two far components inside ``b1`` = B(X, A1) and
     ``b2`` = B(X, A2), or None if no pair exists.
 
+    ``weight`` is ``flow._cover_weights(g._w)``, so each pair (w1, w2) gets
+    its canonical completion: all it removes outside the cover is fixed.
     Returns (kept mask, component 1 mask, component 2 mask).
     """
     if not b1 or not b2:
@@ -268,7 +270,7 @@ def _case_a1a2(
                             "refined candidate set is not a clique; "
                             "an upstream precondition failed"
                         )
-            _, u_mask = _solve_bipartite_cover(b1p, b2p, adj, g._w)
+            _, u_mask = _solve_bipartite_cover(b1p, b2p, adj, weight)
             c1 = w1_bit | (b1p & ~u_mask)
             c2 = w2_bit | (b2p & ~u_mask)
             kept = x_mask | c1 | c2
@@ -310,6 +312,7 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
     require_alpha(g, 3)
     s_mask = check_vertices(g, s)
     full = g.vertex_mask()
+    cover_weight = _cover_weights(g._w)
 
     best_kept = full & ~s_mask  # dropping all of S is always feasible
     floor = [g.weight_of_mask(best_kept)]  # the incumbent's kept weight
@@ -339,7 +342,7 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
                     continue  # the pair's completion lies inside X | B1 | B2
                 if not _hat_ok(ycomp, tree, (a1, a2)):
                     continue
-                res = _case_a1a2(g, x_mask, s_mask, b1, b2)
+                res = _case_a1a2(g, x_mask, s_mask, b1, b2, cover_weight)
                 if res is not None:
                     consider(res[0])
 

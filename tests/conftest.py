@@ -18,7 +18,18 @@ import pytest
 
 from sfvs import Graph, PreconditionError, independence_at_most
 from sfvs.flow import FlowNetwork, MaxFlowResult, UnboundedFlowError
-from sfvs.graph import _bits, check_vertices, components_of_mask, ids_of, mask_of
+from sfvs.graph import (
+    InternalInvariantError,
+    _bits,
+    check_vertices,
+    components_of_mask,
+    ids_of,
+    mask_of,
+    require_alpha,
+)
+from sfvs.multiway import check_multiway
+from sfvs.oracle import Solution
+from sfvs.solvers import solve_wsfvs_alpha3
 
 
 def complete_graph(n: int, weights=None) -> Graph:
@@ -332,6 +343,34 @@ def edmonds_karp_max_flow(net: FlowNetwork) -> MaxFlowResult:
         )
     )
     return MaxFlowResult(value, cut)
+
+
+def apex_wnmcdt_alpha2(g: Graph, t) -> Solution:
+    """Reference for ``sfvs.solve_wnmcdt_alpha2``: the paper's reduction.
+
+    Adds an apex vertex adjacent to every terminal, with weight equal to the
+    whole graph's weight so it can never be worth removing, and solves
+    weighted subset feedback vertex set with S = {apex} on the result (which
+    has alpha <= 3): cycles through the apex are exactly the
+    terminal-to-terminal paths.
+    """
+    require_alpha(g, 2)
+    tm = check_vertices(g, t)
+    terms = ids_of(tm)
+    if not terms:
+        return Solution((), 0, True)
+    apex = g.n + 1
+    adj = [a | (tm >> v & 1) << apex for v, a in enumerate(g._adj)]
+    adj.append(tm)
+    weights = {v: g.weight(v) for v in g.vertices()}
+    weights[apex] = g.total_weight()
+    extended = Graph._from_adjacency(apex, adj, weights)
+    inner = solve_wsfvs_alpha3(extended, (apex,))
+    if apex in inner.removed:
+        raise InternalInvariantError("the apex outweighs every solution, yet was removed")
+    if not check_multiway(g, terms, inner.removed, deletable=True):
+        raise InternalInvariantError("apex reduction produced an invalid multiway cut")
+    return Solution(inner.removed, g.weight_of(inner.removed), True)
 
 
 def brute_bipartite_cover_weight(left, right, edges, weights) -> int:

@@ -12,9 +12,17 @@ from sfvs import (
     solve_nmcdt_xp,
     solve_wnmcdt_alpha2,
 )
+from sfvs import multiway, solvers
 from sfvs.generate import generate_instance
 
-from conftest import complete_graph, cycle_graph, path_graph, random_bounded_alpha, random_subset
+from conftest import (
+    apex_wnmcdt_alpha2,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_bounded_alpha,
+    random_subset,
+)
 
 
 class TestCheckMultiway:
@@ -132,6 +140,50 @@ class TestWeightedNmcdtAlpha2:
             assert check_multiway(g, t, got.removed, deletable=True)
             # the apex helper vertex must never leak into the answer
             assert all(v <= g.n for v in got.removed)
+
+    @pytest.mark.parametrize("n", [26, 30, 40])
+    def test_matches_the_apex_referee_past_the_oracle_guard(self, n):
+        # the referee runs wsfvs-a3's weighted two-component completions here
+        inst = generate_instance(n, 2, 0.3, 7, "wnmcdt", 0.3, wmax=5)
+        got = solve_wnmcdt_alpha2(inst.graph, inst.special)
+        assert got == apex_wnmcdt_alpha2(inst.graph, inst.special)
+
+    def test_a_pair_cut_ties_the_keep_one_candidates(self):
+        # path 1-3-2: keeping 1 removes [2], keeping 2 removes [1], keeping
+        # both removes the pair cut [3]; the canonical [1] is found second
+        g = Graph(3, [(1, 3), (3, 2)])
+        sol = solve_wnmcdt_alpha2(g, [1, 2])
+        assert sol.removed == (1,) and sol.objective == 1
+        assert sol == oracle_solve(ProblemInstance(g, "wnmcdt", (1, 2)))
+
+    def test_two_pair_cuts_tie(self):
+        # the pairs (2, 3), (2, 5), (3, 4) and (4, 5) all cut at weight 6,
+        # and the second, [1, 3, 4], is canonical
+        g = Graph(5, [(1, 2), (1, 3), (1, 5), (2, 4), (3, 5)],
+                  {1: 2, 2: 3, 3: 3, 4: 1, 5: 3})
+        sol = solve_wnmcdt_alpha2(g, [2, 3, 4, 5])
+        assert sol.removed == (1, 3, 4) and sol.objective == 6
+        assert sol == oracle_solve(ProblemInstance(g, "wnmcdt", (2, 3, 4, 5)))
+
+    def test_one_cover_per_pair_and_no_wsfvs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("wnmcdt-a2 called wsfvs-a3")
+
+        for mod in (solvers, multiway):
+            monkeypatch.setattr(mod, "solve_wsfvs_alpha3", refuse, raising=False)
+        calls = 0
+        real_cover = multiway._solve_bipartite_cover
+
+        def cover(*args):
+            nonlocal calls
+            calls += 1
+            return real_cover(*args)
+
+        monkeypatch.setattr(multiway, "_solve_bipartite_cover", cover)
+        inst = generate_instance(40, 2, 0.3, 7, "wnmcdt", 0.3, wmax=5)
+        solve_wnmcdt_alpha2(inst.graph, inst.special)
+        k = len(inst.special)
+        assert 0 < calls <= k * (k - 1) // 2, (calls, k)
 
     def test_pin_beyond_the_oracle_guard(self):
         # the pin agrees with an independent branch and bound

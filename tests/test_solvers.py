@@ -14,7 +14,8 @@ from sfvs import (
     solve_wnmcdt_alpha2,
     solve_wsfvs_alpha3,
 )
-from sfvs import solvers
+from sfvs import multiway, solvers
+from sfvs.flow import _cover_weights
 from sfvs.generate import generate_instance
 from sfvs.graph import _add_vertex, _removed_first, ids_of, mask_of
 from sfvs.solvers import (
@@ -28,6 +29,7 @@ from sfvs.solvers import (
 )
 
 from conftest import (
+    apex_wnmcdt_alpha2,
     build_hat_graph,
     complete_graph,
     forest_labels,
@@ -351,7 +353,7 @@ class TestCompletionCases:
             x_mask, s_mask = mask_of(x), mask_of(s)
             b1 = _b_mask(g, x_mask, s_mask, mask_of(a1))
             b2 = _b_mask(g, x_mask, s_mask, mask_of(a2))
-            res = _case_a1a2(g, x_mask, s_mask, b1, b2)
+            res = _case_a1a2(g, x_mask, s_mask, b1, b2, _cover_weights(g._w))
             best = _best_far(g, s, x, [a1, a2], want_components=2)
             if res is None:
                 assert best == 0, (g.edges, s, x, a1, a2)
@@ -561,15 +563,18 @@ class TestWeightedAlpha3:
     def test_weights_times_2_64_keep_every_removed_set(self, monkeypatch):
         # capacities past 64 bits through the bipartite cover, on the family
         # above and on wnmcdt-a2 instances beyond the oracle guard
-        cover_values = []
+        cover_values = {solve_wsfvs_alpha3: [], solve_wnmcdt_alpha2: []}
         real_cover = solvers._solve_bipartite_cover
+        assert multiway._solve_bipartite_cover is real_cover
+        solve = None  # the solver running, set by the loop below
 
         def cover(*args):
             res = real_cover(*args)
-            cover_values.append(res[0])
+            cover_values[solve].append(res[0])
             return res
 
         monkeypatch.setattr(solvers, "_solve_bipartite_cover", cover)
+        monkeypatch.setattr(multiway, "_solve_bipartite_cover", cover)
         cases = [(solve_wsfvs_alpha3, g, s) for _, g, s in reaching_family()]
         for n in (26, 30):
             inst = generate_instance(n, 2, 0.3, n, "wnmcdt", 0.5, wmax=5)
@@ -580,7 +585,8 @@ class TestWeightedAlpha3:
             got = solve(scaled, s)
             assert got.removed == want.removed, (solve.__name__, g.edges, s)
             assert got.objective == want.objective << 64
-        assert any(value >> 64 for value in cover_values)
+        for values in cover_values.values():
+            assert any(value >> 64 for value in values)
 
 
 class TestUnweightedXP:
@@ -636,15 +642,26 @@ class TestCanonicalTieBreak:
             want = oracle_solve(inst)
             assert got.removed == want.removed, (inst.graph.edges, inst.special)
 
-    def test_apex_reduction_returns_the_oracles_removed_set(self):
+    @staticmethod
+    def _wnmcdt_family():
         rng = random.Random(20180519)
         for _ in range(30):
             n = rng.randint(4, 10)
-            inst = generate_instance(
+            yield generate_instance(
                 n, rng.randint(1, 2), rng.choice([0.3, 0.6]), rng.randrange(2**31),
                 "wnmcdt", rng.choice([0.3, 0.6]), rng.choice([1, 2]),
             )
+
+    def test_apex_reduction_returns_the_oracles_removed_set(self):
+        # the package's direct solver; the apex route is the referee below
+        for inst in self._wnmcdt_family():
             got = solve_wnmcdt_alpha2(inst.graph, inst.special)
+            want = oracle_solve(inst)
+            assert got.removed == want.removed, (inst.graph.edges, inst.special)
+
+    def test_apex_referee_returns_the_oracles_removed_set(self):
+        for inst in self._wnmcdt_family():
+            got = apex_wnmcdt_alpha2(inst.graph, inst.special)
             want = oracle_solve(inst)
             assert got.removed == want.removed, (inst.graph.edges, inst.special)
 
