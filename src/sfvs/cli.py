@@ -6,9 +6,10 @@ random bounded-alpha instances) and ``reduce`` (the hardness-reduction
 generators plus their verifiers).
 
 Exit codes: 0 solved / feasible, 1 infeasible (or a failed check), 2 parse or
-usage error, 3 precondition violation (independence bound, weights, size
-guard, bad source partition).  The ``SFVS_ORACLE_MAX_N`` environment variable
-overrides the oracle's size guard.
+usage error, 3 precondition violation (independence bound, size guard, bad
+source partition, or a weight other than 1 on an unweighted kind, which
+``solve`` refuses for every ``--algo``, the oracle included).  The
+``SFVS_ORACLE_MAX_N`` environment variable overrides the oracle's size guard.
 
 ``--json`` emits one stable object per run; everything in it except the
 ``millis`` timing field is deterministic for a given input.  ``verified``
@@ -78,22 +79,17 @@ def _oracle_guard() -> int:
         raise PreconditionError(f"SFVS_ORACLE_MAX_N must be an integer, got {raw!r}")
 
 
-def _require_unit_weights(inst: ProblemInstance, algo: str) -> None:
-    if any(inst.graph.weight(v) != 1 for v in inst.graph.vertices()):
-        raise PreconditionError(
-            f"{algo} solves the unweighted kind {inst.kind!r}; "
-            "the instance carries non-unit weights"
-        )
-
-
 def _dispatch(algo: str, inst: ProblemInstance, d: int) -> Solution:
     kinds = _ALGO_KINDS[algo]
     if kinds is not None and inst.kind not in kinds:
         raise PreconditionError(f"algorithm {algo} does not solve kind {inst.kind!r}")
     g = inst.graph
+    if inst.kind not in WEIGHTED_KINDS and any(g.weight(v) != 1 for v in g.vertices()):
+        raise PreconditionError(
+            f"{algo} solves the unweighted kind {inst.kind!r}; "
+            "the instance carries non-unit weights"
+        )
     if algo == "wsfvs-a3":
-        if inst.kind in ("sfvs", "fvs"):
-            _require_unit_weights(inst, algo)
         return solve_wsfvs_alpha3(g, inst.special)
     if algo == "sfvs-xp":
         return solve_sfvs_xp(g, inst.special, d)
@@ -102,8 +98,6 @@ def _dispatch(algo: str, inst: ProblemInstance, d: int) -> Solution:
     if algo == "nmcdt-xp":
         return solve_nmcdt_xp(g, inst.special, d)
     if algo == "wnmcdt-a2":
-        if inst.kind == "nmcdt":
-            _require_unit_weights(inst, algo)
         return solve_wnmcdt_alpha2(g, inst.special)
     return oracle_solve(inst, _oracle_guard())
 
@@ -132,9 +126,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "millis": millis,
     }
     if inst.budget is not None:
-        doc["within_budget"] = bool(
-            sol.feasible and sol.objective is not None and sol.objective <= inst.budget
-        )
+        doc["within_budget"] = sol.feasible and sol.objective <= inst.budget
     if args.json:
         print(json.dumps(doc))
     else:
@@ -176,11 +168,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-_REDUCTIONS = {
-    ("vc3", "wsfvs4"): "wsfvs",
-    ("vc3", "nmc3"): "nmc",
-    ("mcis", "fvs"): "fvs",
-}
+_REDUCTIONS = frozenset({("vc3", "wsfvs4"), ("vc3", "nmc3"), ("mcis", "fvs")})
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:

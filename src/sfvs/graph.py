@@ -11,6 +11,9 @@ stands for vertex ``v``; bit 0 is unused), and sets cross between internal
 functions only as masks, which keeps the exponential enumerations in the rest
 of the package fast enough for exhaustive testing.
 
+Every solver and the oracle rank removed sets by one canonical order,
+:func:`_before`: lower objective first, ties by :func:`_removed_first`.
+
 The central predicate is :func:`is_s_forest`: given a vertex subset ``x`` and
 a distinguished set ``s``, decide whether no cycle of ``G[x]`` passes through
 a vertex of ``s``.  Every S-forest test in the package, from scratch or while
@@ -107,6 +110,16 @@ def _removed_first(a: int, b: int) -> bool:
     """
     diff = a ^ b
     return bool(diff & -diff & a)
+
+
+def _before(obj: int, removed: int, best_obj: int, best: int) -> bool:
+    """The canonical order: True iff removed set ``removed``, of objective
+    ``obj``, comes before ``best``, of objective ``best_obj``.  The lower
+    objective wins; equal objectives are decided by ``_removed_first``.
+    """
+    if obj != best_obj:
+        return obj < best_obj
+    return _removed_first(removed, best)
 
 
 class Graph:

@@ -22,14 +22,14 @@ from .graph import (
     Graph,
     InternalInvariantError,
     PreconditionError,
+    _before,
     _bits,
-    _removed_first,
     check_vertices,
     ids_of,
     mask_of,
     require_alpha,
 )
-from .oracle import Solution, _terminals_separated
+from .oracle import ProblemInstance, Solution, _terminals_separated, feasible_removed
 
 
 def check_multiway(
@@ -38,13 +38,10 @@ def check_multiway(
     """Feasibility of a removed set: surviving terminals pairwise disconnected.
 
     Without ``deletable`` the removed set must avoid the terminals entirely.
+    The oracle's checker decides, on an ``nmcdt`` or ``nmc`` instance.
     """
-    tm = check_vertices(g, t)
-    xm = check_vertices(g, x)
-    if not deletable and xm & tm:
-        return False
-    kept = g.vertex_mask() & ~xm
-    return _terminals_separated(g, kept, tm & kept)
+    inst = ProblemInstance(g, "nmcdt" if deletable else "nmc", tuple(t))
+    return feasible_removed(inst, tuple(x))
 
 
 def _pair_cut(adj: list[int], weight: list[int], t1: int, t2: int, gone: int) -> int:
@@ -74,15 +71,15 @@ def solve_nmc_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     adj = g._adj
     for v in _bits(tm):
         if adj[v] & tm:
-            return Solution((), None, False)
+            return Solution((), None)
     terms = ids_of(tm)
     if len(terms) <= 1:
-        return Solution((), 0, True)
+        return Solution((), 0)
     t1, t2 = terms
     removed = ids_of(_pair_cut(adj, _cover_weights([1] * (g.n + 1)), t1, t2, 0))
     if not check_multiway(g, terms, removed, deletable=False):
         raise InternalInvariantError("cut failed the multiway recheck")
-    return Solution(removed, len(removed), True)
+    return Solution(removed, len(removed))
 
 
 def _smallest_cut(
@@ -107,10 +104,11 @@ def solve_nmcdt_xp(g: Graph, t: Iterable[int], d: int) -> Solution:
     """Multiway cut with deletable terminals for alpha(G) <= d, unit weights.
 
     Removing all terminals is always feasible, so the optimum has at most |T|
-    vertices.  With few terminals (|T| <= d) plain subset enumeration works;
-    otherwise every solution keeps an independent set T' of at most d
-    terminals, so branch over those, delete the rest, and recurse into the
-    small case.
+    vertices.  Every solution keeps an independent set T' of at most d
+    terminals, so branch over those: delete the rest, U = T - T', and find
+    the smallest cut of T' in G - U.  The optimum removes at most |T|
+    vertices, so its cut has at most |T'| members, and ``_smallest_cut``
+    returns the (size, lexicographic)-first cut of at most that size.
     """
     if d < 1:
         raise PreconditionError(f"d must be >= 1, got {d}")
@@ -120,13 +118,6 @@ def solve_nmcdt_xp(g: Graph, t: Iterable[int], d: int) -> Solution:
     tm = check_vertices(g, t)
     t_ids = ids_of(tm)
     full = g.vertex_mask()
-
-    if len(t_ids) <= d:
-        found = _smallest_cut(g, full, tm, len(t_ids))
-        assert found is not None  # X = T is always feasible
-        size, xm = found
-        return Solution(ids_of(xm), size, True)
-
     adj = g._adj
     best_size, best = len(t_ids), tm  # keep = 0: removing every terminal
     for keep in range(1, d + 1):
@@ -144,12 +135,12 @@ def solve_nmcdt_xp(g: Graph, t: Iterable[int], d: int) -> Solution:
             size, xm = found
             total = base + size
             removed = um | xm
-            if total < best_size or total == best_size and _removed_first(removed, best):
+            if _before(total, removed, best_size, best):
                 best_size, best = total, removed
     removed = ids_of(best)
     if not check_multiway(g, t_ids, removed, deletable=True):
         raise InternalInvariantError("deletable-terminal cut failed the recheck")
-    return Solution(removed, best_size, True)
+    return Solution(removed, best_size)
 
 
 def solve_wnmcdt_alpha2(g: Graph, t: Iterable[int]) -> Solution:
@@ -162,8 +153,8 @@ def solve_wnmcdt_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     between them in G - U, where every other vertex sees t1 or t2 (else the
     three are independent).  That cut is ``_pair_cut``'s: U and the common
     neighbours lie in every cut of the pair, so its canonical cover makes it
-    the pair's canonical best.  The optimum is the best of these candidates
-    by weight, then by ``_removed_first``.
+    the pair's canonical best.  The optimum is the first of these candidates
+    in ``_before``'s order: by weight, then by ``_removed_first``.
     """
     require_alpha(g, 2)
     tm = check_vertices(g, t)
@@ -177,9 +168,9 @@ def solve_wnmcdt_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     best, best_weight = tm, g.weight_of_mask(tm)
     for cand in candidates:
         cw = g.weight_of_mask(cand)
-        if cw < best_weight or cw == best_weight and _removed_first(cand, best):
+        if _before(cw, cand, best_weight, best):
             best, best_weight = cand, cw
     removed = ids_of(best)
     if not check_multiway(g, terms, removed, deletable=True):
         raise InternalInvariantError("deletable-terminal cut failed the recheck")
-    return Solution(removed, best_weight, True)
+    return Solution(removed, best_weight)

@@ -25,8 +25,8 @@ from itertools import combinations
 from .graph import (
     Graph,
     PreconditionError,
+    _before,
     _bits,
-    _removed_first,
     _s_cycle_free,
     check_vertices,
     components_of_mask,
@@ -86,7 +86,10 @@ class Solution:
 
     removed: tuple[int, ...]
     objective: int | None
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        return self.objective is not None
 
 
 def _terminals_separated(g: Graph, kept: int, terms: int) -> bool:
@@ -132,7 +135,7 @@ def oracle_solve(inst: ProblemInstance, max_vertices: int = 22) -> Solution:
         sm = inst.special_mask()
         for v in _bits(sm):
             if g._adj[v] & sm:
-                return Solution((), None, False)
+                return Solution((), None)
 
     if inst.kind in WEIGHTED_KINDS:
         return _solve_weighted(inst)
@@ -148,7 +151,7 @@ def _solve_unweighted(inst: ProblemInstance) -> Solution:
             for v in members:
                 m |= 1 << v
             if feasible_removed(inst, m):
-                return Solution(members, k, True)
+                return Solution(members, k)
     raise PreconditionError("exhausted all subsets without a feasible solution")
 
 
@@ -158,8 +161,9 @@ def _solve_weighted(inst: ProblemInstance) -> Solution:
     The incumbent starts at removing all of S (or T), which is feasible for
     both weighted kinds: no S-vertex is left for a cycle to pass through, and
     no terminal is left to be connected.  A mask is tested for feasibility
-    only if it would beat the incumbent: a lower weight, or the same weight
-    and first by ``sfvs.graph``'s one tie-break rule, ``_removed_first``.
+    only if it comes before the incumbent in ``sfvs.graph``'s canonical
+    order, ``_before``: a lower weight, or the same weight and the
+    lexicographically smaller removed set.
     Memory stays constant in n.
     """
     g = inst.graph
@@ -172,8 +176,8 @@ def _solve_weighted(inst: ProblemInstance) -> Solution:
             b = mm & -mm
             total += w[b.bit_length() - 1]
             mm ^= b
-        if total > best_weight or total == best_weight and not _removed_first(m, best):
+        if not _before(total, m, best_weight, best):
             continue
         if feasible_removed(inst, m):
             best_weight, best = total, m
-    return Solution(ids_of(best), best_weight, True)
+    return Solution(ids_of(best), best_weight)

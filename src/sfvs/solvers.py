@@ -46,7 +46,8 @@ a lighter union skips the pair's hat test and two-component completion.
 force over the two small sides of an optimal solution: at most 2d surviving
 S-vertices and at most 2d removed non-S-vertices.
 
-Both return the canonical optimum: minimum objective, ties broken toward the
+Both return the canonical optimum, the first removed set in
+``sfvs.graph._before``'s order: minimum objective, ties broken toward the
 lexicographically smallest removed set.
 """
 
@@ -61,9 +62,9 @@ from .graph import (
     InternalInvariantError,
     PreconditionError,
     _add_vertex,
+    _before,
     _bits,
     _relabel,
-    _removed_first,
     _s_cycle_free,
     _touched,
     check_vertices,
@@ -212,19 +213,6 @@ def _b_mask(g: Graph, x_mask: int, s_mask: int, a_mask: int) -> int:
     return g.vertex_mask() & ~x_mask & ~s_mask & ~near
 
 
-def _beats(weight: int, kept: int, best_weight: int, best_kept: int) -> bool:
-    """True iff kept set ``kept`` comes before ``best_kept`` canonically.
-
-    The heavier kept set wins.  At equal weight the removed sets, the
-    complements of the kept ones, are ordered by ``sfvs.graph``'s one
-    tie-break rule, ``_removed_first``.  Both masks may leave out a common
-    part of equal weight, such as the shared x.
-    """
-    if weight != best_weight:
-        return weight > best_weight
-    return _removed_first(~kept, ~best_kept)
-
-
 def _case_a1(g: Graph, x_mask: int, b: int) -> tuple[int, int]:
     """Best completion with a single far component inside ``b`` = B(X, A).
 
@@ -233,7 +221,7 @@ def _case_a1(g: Graph, x_mask: int, b: int) -> tuple[int, int]:
     best = best_weight = 0
     for comp in components_of_mask(g, b):
         weight = g.weight_of_mask(comp)
-        if not best or _beats(weight, comp, best_weight, best):
+        if not best or _before(-weight, ~comp, -best_weight, ~best):
             best, best_weight = comp, weight
     return x_mask | best, best
 
@@ -278,8 +266,9 @@ def _case_a1a2(
                 raise InternalInvariantError(
                     "two-component completion produced an S-cycle"
                 )
-            far_weight = g.weight_of_mask(c1 | c2)
-            if best is None or _beats(far_weight, c1 | c2, best_weight, best[1] | best[2]):
+            far = c1 | c2
+            far_weight = g.weight_of_mask(far)
+            if best is None or _before(-far_weight, ~far, -best_weight, ~(best[1] | best[2])):
                 best, best_weight = (kept, c1, c2), far_weight
     return best
 
@@ -294,9 +283,14 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
     labels the candidate enumeration derived for X, B(X, A) is computed once
     per valid single A, and only pairs of singles whose B sets are both nonempty are
     hat-tested and completed (a pair with an empty side has no two-component
-    completion).  Completions compete on masks through ``_beats``: the
-    heavier kept set wins, and at equal weight the one whose removed set is
-    lexicographically smallest.
+    completion).  Completions compete on masks through ``sfvs.graph``'s
+    canonical order as ``_before(-w(kept), ~kept, -w(best), ~best)``, which
+    is that order on the removed sets: w(V \\ kept) = w(V) - w(kept) orders
+    as -w(kept) does, and ``~kept`` is V \\ kept plus bits every complement
+    shares, which ``_removed_first`` ignores.  So the heavier kept set wins,
+    and at equal weight the one whose removed set is lexicographically
+    smallest.  The completion cases leave out the shared X, which shifts
+    both weights alike.
 
     The incumbent's weight only grows, and it bounds the remaining work
     exactly.  It sits in the one-slot list ``floor``, which ``consider``
@@ -307,7 +301,7 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
     lies inside X \\ S.  A pair is skipped when w(X | B1 | B2) is below it,
     since its completion lies inside that union.  Every test is strict
     ``<``: a completion that only ties the incumbent can still win
-    ``_beats``'s tie-break, so skipping it could change the removed set.
+    ``_before``'s tie-break, so skipping it could change the removed set.
     """
     require_alpha(g, 3)
     s_mask = check_vertices(g, s)
@@ -320,7 +314,7 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
     def consider(kept: int):
         nonlocal best_kept
         weight = g.weight_of_mask(kept)
-        if _beats(weight, kept, floor[0], best_kept):
+        if _before(-weight, ~kept, -floor[0], ~best_kept):
             best_kept, floor[0] = kept, weight
 
     for x_mask, ycomp, tree in _s1_candidates(g, s_mask, 3, floor):
@@ -349,7 +343,7 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
     if not _s_cycle_free(g, best_kept, s_mask):
         raise InternalInvariantError("chosen forest fails the S-forest check")
     removed = ids_of(full & ~best_kept)
-    return Solution(removed, g.weight_of(removed), True)
+    return Solution(removed, g.weight_of(removed))
 
 
 def solve_sfvs_xp(g: Graph, s: Iterable[int], d: int) -> Solution:
@@ -385,8 +379,8 @@ def solve_sfvs_xp(g: Graph, s: Iterable[int], d: int) -> Solution:
                     break
                 for x2 in combinations(non_s, extra):
                     removed = s_removed | mask_of(x2)
-                    if size == best_size and not _removed_first(removed, best):
+                    if not _before(size, removed, best_size, best):
                         continue
                     if _s_cycle_free(g, full & ~removed, s_mask):
                         best_size, best = size, removed
-    return Solution(ids_of(best), best_size, True)
+    return Solution(ids_of(best), best_size)

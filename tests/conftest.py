@@ -358,7 +358,7 @@ def apex_wnmcdt_alpha2(g: Graph, t) -> Solution:
     tm = check_vertices(g, t)
     terms = ids_of(tm)
     if not terms:
-        return Solution((), 0, True)
+        return Solution((), 0)
     apex = g.n + 1
     adj = [a | (tm >> v & 1) << apex for v, a in enumerate(g._adj)]
     adj.append(tm)
@@ -370,7 +370,7 @@ def apex_wnmcdt_alpha2(g: Graph, t) -> Solution:
         raise InternalInvariantError("the apex outweighs every solution, yet was removed")
     if not check_multiway(g, terms, inner.removed, deletable=True):
         raise InternalInvariantError("apex reduction produced an invalid multiway cut")
-    return Solution(inner.removed, g.weight_of(inner.removed), True)
+    return Solution(inner.removed, g.weight_of(inner.removed))
 
 
 def brute_bipartite_cover_weight(left, right, edges, weights) -> int:

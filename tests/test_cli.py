@@ -101,6 +101,27 @@ class TestSolve:
         assert main(["solve", "--algo", "oracle", "--input", path]) == 2
         assert capsys.readouterr().err == "error: empty file\n"
 
+    def test_weights_on_unweighted_kinds_exit_three_for_every_algo(
+        self, tmp_path, capsys
+    ):
+        # every --algo with each unweighted kind it accepts, on the path 1-2-3
+        unweighted = {"wsfvs-a3": ("sfvs", "fvs"), "sfvs-xp": ("sfvs", "fvs"),
+                      "nmc-a2": ("nmc",), "nmcdt-xp": ("nmcdt",),
+                      "wnmcdt-a2": ("nmcdt",), "oracle": ("sfvs", "fvs", "nmc", "nmcdt")}
+        weighted = {"wsfvs-a3": ("wsfvs",), "wnmcdt-a2": ("wnmcdt",),
+                    "oracle": ("wsfvs", "wnmcdt")}
+        assert set(unweighted) == set(ALGOS)
+        cases = [(algo, kind, "5", 3) for algo, kinds in unweighted.items() for kind in kinds]
+        cases += [(algo, kind, "1", 0) for algo, kinds in unweighted.items() for kind in kinds]
+        cases += [(algo, kind, "5", 0) for algo, kinds in weighted.items() for kind in kinds]
+        for algo, kind, weight, want in cases:
+            special = "" if kind == "fvs" else "set 1 3\n"
+            text = f"p {kind} 3 2\nw 2 {weight}\ne 1 2\ne 2 3\n{special}"
+            path = write(tmp_path, "path3.txt", text)
+            code, out = run(capsys, "solve", "--algo", algo, "--input", path, "--json")
+            assert code == want, (algo, kind, weight)
+            assert (out == "") == (want == 3), (algo, kind, weight)
+
     def test_kind_mismatch_exits_three(self, tmp_path, capsys):
         path = write(tmp_path, "nmc.txt", "p nmc 1 0\n")
         assert main(["solve", "--algo", "wsfvs-a3", "--input", path]) == 3

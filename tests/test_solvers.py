@@ -17,10 +17,9 @@ from sfvs import (
 from sfvs import multiway, solvers
 from sfvs.flow import _cover_weights
 from sfvs.generate import generate_instance
-from sfvs.graph import _add_vertex, _removed_first, ids_of, mask_of
+from sfvs.graph import _add_vertex, _before, _removed_first, ids_of, mask_of
 from sfvs.solvers import (
     _b_mask,
-    _beats,
     _case_a1,
     _case_a1a2,
     _hat_ok,
@@ -677,13 +676,19 @@ class TestCanonicalTieBreak:
             if w1 != w2 or k1 == k2:
                 continue
             want = ids_of(full & ~k1) < ids_of(full & ~k2)
-            assert _beats(w1, k1, w2, k2) == want, (n, k1, k2)
-            assert _beats(w2, k2, w1, k1) == (not want), (n, k1, k2)
+            assert _before(-w1, ~k1, -w2, ~k2) == want, (n, k1, k2)
+            assert _before(-w2, ~k2, -w1, ~k1) == (not want), (n, k1, k2)
             assert _removed_first(full & ~k1, full & ~k2) == want, (n, k1, k2)
             assert _removed_first(full & ~k2, full & ~k1) == (not want), (n, k1, k2)
             checked += 1
         assert checked > 200
 
     def test_mask_order_prefers_the_heavier_kept_set(self):
-        assert _beats(5, 0b0110, 4, 0b1000)
-        assert not _beats(4, 0b1000, 5, 0b0110)
+        assert _before(-5, ~0b0110, -4, ~0b1000)
+        assert not _before(-4, ~0b1000, -5, ~0b0110)
+
+    def test_lower_objective_wins_against_the_tie_break(self):
+        # {2} comes after {1} lexicographically, but its objective is lower
+        assert not _removed_first(0b100, 0b010)
+        assert _before(2, 0b100, 3, 0b010)
+        assert not _before(3, 0b010, 2, 0b100)
