@@ -57,16 +57,16 @@ from .reductions import (
 )
 from .solvers import solve_sfvs_xp, solve_wsfvs_alpha3
 
-ALGOS = ("wsfvs-a3", "sfvs-xp", "nmc-a2", "nmcdt-xp", "wnmcdt-a2", "oracle")
-
-_ALGO_KINDS = {
-    "wsfvs-a3": ("wsfvs", "sfvs", "fvs"),
-    "sfvs-xp": ("sfvs", "fvs"),
-    "nmc-a2": ("nmc",),
-    "nmcdt-xp": ("nmcdt",),
-    "wnmcdt-a2": ("wnmcdt", "nmcdt"),
-    "oracle": None,  # any
+# algo -> (the kinds it solves, None for any; its call on an instance and d)
+_SOLVERS = {
+    "wsfvs-a3": (("wsfvs", "sfvs", "fvs"), lambda i, d: solve_wsfvs_alpha3(i.graph, i.special)),
+    "sfvs-xp": (("sfvs", "fvs"), lambda i, d: solve_sfvs_xp(i.graph, i.special, d)),
+    "nmc-a2": (("nmc",), lambda i, d: solve_nmc_alpha2(i.graph, i.special)),
+    "nmcdt-xp": (("nmcdt",), lambda i, d: solve_nmcdt_xp(i.graph, i.special, d)),
+    "wnmcdt-a2": (("wnmcdt", "nmcdt"), lambda i, d: solve_wnmcdt_alpha2(i.graph, i.special)),
+    "oracle": (None, lambda i, d: oracle_solve(i, _oracle_guard())),
 }
+ALGOS = tuple(_SOLVERS)
 
 
 def _oracle_guard() -> int:
@@ -80,7 +80,7 @@ def _oracle_guard() -> int:
 
 
 def _dispatch(algo: str, inst: ProblemInstance, d: int) -> Solution:
-    kinds = _ALGO_KINDS[algo]
+    kinds, solve = _SOLVERS[algo]
     if kinds is not None and inst.kind not in kinds:
         raise PreconditionError(f"algorithm {algo} does not solve kind {inst.kind!r}")
     g = inst.graph
@@ -89,17 +89,7 @@ def _dispatch(algo: str, inst: ProblemInstance, d: int) -> Solution:
             f"{algo} solves the unweighted kind {inst.kind!r}; "
             "the instance carries non-unit weights"
         )
-    if algo == "wsfvs-a3":
-        return solve_wsfvs_alpha3(g, inst.special)
-    if algo == "sfvs-xp":
-        return solve_sfvs_xp(g, inst.special, d)
-    if algo == "nmc-a2":
-        return solve_nmc_alpha2(g, inst.special)
-    if algo == "nmcdt-xp":
-        return solve_nmcdt_xp(g, inst.special, d)
-    if algo == "wnmcdt-a2":
-        return solve_wnmcdt_alpha2(g, inst.special)
-    return oracle_solve(inst, _oracle_guard())
+    return solve(inst, d)
 
 
 def _objective_of(inst: ProblemInstance, removed: Sequence[int]) -> int:

@@ -21,7 +21,12 @@ Infinite capacities are written as ``None``.  Internally they are replaced by
 a finite surrogate (one more than the sum of all finite capacities), which
 strictly exceeds every finite cut, so arithmetic stays integral.  A
 source-to-sink path made of infinite arcs only means the flow value is
-unbounded and raises :class:`UnboundedFlowError`.
+unbounded, and :func:`max_flow` raises :class:`UnboundedFlowError` exactly
+when its flow value reaches the surrogate.  If such a path exists, every cut
+holds one of its arcs, so the maximum flow is at least the surrogate.
+Otherwise the nodes the source reaches over infinite arcs exclude the sink
+and bound a cut of finite arcs only, worth at most the finite total, which
+is below the surrogate.
 """
 
 from __future__ import annotations
@@ -91,18 +96,6 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
             cap[u][v] = old + c
             finite_total += c
 
-    # Unbounded iff the sink is reachable through infinite arcs alone.
-    seen = {net.source}
-    queue = deque([net.source])
-    while queue:
-        u = queue.popleft()
-        for v, c in cap[u].items():
-            if c is None and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    if net.sink in seen:
-        raise UnboundedFlowError("unbounded: infinite-capacity path from source to sink")
-
     surrogate = finite_total + 1
     res: list[dict[int, int]] = [dict() for _ in range(n)]
     for u in range(n):
@@ -162,6 +155,9 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
                     first_saturated = i
             del path[first_saturated + 1:]
             value += bottleneck
+
+    if value >= surrogate:
+        raise UnboundedFlowError("unbounded: infinite-capacity path from source to sink")
 
     # The last BFS missed t, so it ran to the end: level >= 0 is s's side.
     cut = tuple(

@@ -13,6 +13,10 @@ of the package fast enough for exhaustive testing.
 
 Every solver and the oracle rank removed sets by one canonical order,
 :func:`_before`: lower objective first, ties by :func:`_removed_first`.
+Both unit-weight XP solvers (``sfvs-xp``, ``nmcdt-xp``) run one search in
+that order, :func:`_xp_search`: keep a few special vertices, remove the rest
+of the special set, and extend by the fewest other vertices that make the
+kept set feasible.
 
 The central predicate is :func:`is_s_forest`: given a vertex subset ``x`` and
 a distinguished set ``s``, decide whether no cycle of ``G[x]`` passes through
@@ -42,7 +46,8 @@ adding the S-vertices one at a time.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -120,6 +125,63 @@ def _before(obj: int, removed: int, best_obj: int, best: int) -> bool:
     if obj != best_obj:
         return obj < best_obj
     return _removed_first(removed, best)
+
+
+def _xp_search(
+    g: Graph,
+    special: int,
+    keep_max: int,
+    feasible: Callable[[int], bool],
+    keep_ok: Callable[[int], bool] | None = None,
+) -> tuple[int, int]:
+    """The canonical optimum of a unit-weight problem in which at most
+    ``keep_max`` vertices of the mask ``special`` survive, as (size, removed
+    mask).
+
+    ``feasible(kept)`` decides a kept mask; removing every special vertex
+    must pass it, and is the first incumbent.  For each kept set K of 1 to
+    ``keep_max`` special vertices, in ascending size and lexicographic order,
+    with ``keep_ok(K)`` when given, the branch removes special \\ K plus
+    extra sets from the non-special pool in (size, lexicographic) order.
+
+    - The caps are implied: best_size <= |special|, so a branch keeping K
+      tries at most best_size - |special \\ K| <= |K| <= ``keep_max`` extra
+      vertices, and none when special \\ K alone outgrows the incumbent.
+    - The pool leaves out the kept special vertices: a set that removes a
+      kept t as an extra vertex is the removed set of branch K - t with one
+      fewer extra vertex.  That branch is searched too (K - t = {} being
+      the first incumbent), provided ``keep_ok`` holds on subsets of sets it
+      holds on, as independence does.
+    - Each branch stops at its first feasible set, and at its first set that
+      is not ``_before`` the incumbent: its removed sets of equal size share
+      special \\ K, so they differ first at an extra vertex, and the
+      lexicographic order of the extra sets is ``_removed_first``'s.  The
+      branch thus yields its sets in canonical order, and none after either
+      stop can win.
+    """
+    full = g.vertex_mask()
+    ids = ids_of(special)
+    pool = ids_of(full & ~special)
+    best_size, best = len(ids), special
+    for keep in range(1, keep_max + 1):
+        base = len(ids) - keep
+        for kept in combinations(ids, keep):
+            km = mask_of(kept)
+            if keep_ok is not None and not keep_ok(km):
+                continue
+            fixed = special & ~km
+            for removed in (
+                fixed | mask_of(extra)
+                for k in range(best_size - base + 1)
+                for extra in combinations(pool, k)
+            ):
+                size = removed.bit_count()
+                if not _before(size, removed, best_size, best):
+                    break
+                if feasible(full & ~removed):
+                    best_size, best = size, removed
+                    break
+    return best_size, best
 
 
 class Graph:

@@ -6,7 +6,9 @@ Three regimes are tractable and implemented here:
   after the trivial no-instance check at most two terminals exist and one
   pair cut (``_pair_cut``) finishes the job;
 * multiway cut with deletable terminals for alpha(G) <= d, unit weights, by
-  branching on which independent set of at most d terminals survives;
+  ``sfvs.graph._xp_search``: it branches on which independent set of at
+  most d terminals survives, removes the other terminals, and finds the
+  fewest non-terminals that cut the survivors apart;
 * the weighted deletable variant for alpha(G) <= 2: surviving terminals are
   independent, so at most two survive, and the optimum keeps none, one, or a
   non-adjacent pair cut apart by the same pair cut.
@@ -24,9 +26,9 @@ from .graph import (
     PreconditionError,
     _before,
     _bits,
+    _xp_search,
     check_vertices,
     ids_of,
-    mask_of,
     require_alpha,
 )
 from .oracle import ProblemInstance, Solution, _terminals_separated, feasible_removed
@@ -82,33 +84,13 @@ def solve_nmc_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     return Solution(removed, len(removed))
 
 
-def _smallest_cut(
-    g: Graph, avail_mask: int, t_mask: int, limit: int
-) -> tuple[int, int] | None:
-    """Smallest X within ``avail`` (|X| <= limit) separating the terminals
-    left, as (|X|, X mask).
-
-    First hit in ascending-size, lexicographic order is the canonical optimum.
-    """
-    ids = ids_of(avail_mask)
-    for k in range(min(limit, len(ids)) + 1):
-        for members in combinations(ids, k):
-            xm = mask_of(members)
-            kept = avail_mask & ~xm
-            if _terminals_separated(g, kept, t_mask & kept):
-                return k, xm
-    return None
-
-
 def solve_nmcdt_xp(g: Graph, t: Iterable[int], d: int) -> Solution:
     """Multiway cut with deletable terminals for alpha(G) <= d, unit weights.
 
-    Removing all terminals is always feasible, so the optimum has at most |T|
-    vertices.  Every solution keeps an independent set T' of at most d
-    terminals, so branch over those: delete the rest, U = T - T', and find
-    the smallest cut of T' in G - U.  The optimum removes at most |T|
-    vertices, so its cut has at most |T'| members, and ``_smallest_cut``
-    returns the (size, lexicographic)-first cut of at most that size.
+    Surviving terminals are pairwise disconnected, so they form an
+    independent set T' of at most d terminals.  ``graph._xp_search``
+    branches over those: it removes U = T - T' and finds the fewest
+    non-terminals whose removal cuts T' apart in G - U.
     """
     if d < 1:
         raise PreconditionError(f"d must be >= 1, got {d}")
@@ -116,31 +98,16 @@ def solve_nmcdt_xp(g: Graph, t: Iterable[int], d: int) -> Solution:
         raise PreconditionError("solve_nmcdt_xp handles unit weights only")
     require_alpha(g, d)
     tm = check_vertices(g, t)
-    t_ids = ids_of(tm)
-    full = g.vertex_mask()
     adj = g._adj
-    best_size, best = len(t_ids), tm  # keep = 0: removing every terminal
-    for keep in range(1, d + 1):
-        for t_keep in combinations(t_ids, keep):
-            km = mask_of(t_keep)
-            if any(adj[v] & km for v in t_keep):
-                continue  # surviving terminals must be independent
-            um = tm & ~km
-            base = um.bit_count()
-            if base > best_size:
-                continue
-            found = _smallest_cut(g, full & ~um, km, min(keep, best_size - base))
-            if found is None:
-                continue
-            size, xm = found
-            total = base + size
-            removed = um | xm
-            if _before(total, removed, best_size, best):
-                best_size, best = total, removed
+    size, best = _xp_search(
+        g, tm, d,
+        lambda kept: _terminals_separated(g, kept, tm & kept),
+        lambda km: not any(adj[v] & km for v in _bits(km)),
+    )
     removed = ids_of(best)
-    if not check_multiway(g, t_ids, removed, deletable=True):
+    if not check_multiway(g, ids_of(tm), removed, deletable=True):
         raise InternalInvariantError("deletable-terminal cut failed the recheck")
-    return Solution(removed, best_size)
+    return Solution(removed, size)
 
 
 def solve_wnmcdt_alpha2(g: Graph, t: Iterable[int]) -> Solution:

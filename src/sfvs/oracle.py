@@ -31,6 +31,7 @@ from .graph import (
     check_vertices,
     components_of_mask,
     ids_of,
+    mask_of,
 )
 
 KINDS = ("wsfvs", "sfvs", "fvs", "nmc", "nmcdt", "wnmcdt", "vc", "mis")
@@ -69,10 +70,7 @@ class ProblemInstance:
             raise PreconditionError("budget must be nonnegative")
 
     def special_mask(self) -> int:
-        m = 0
-        for v in self.special:
-            m |= 1 << v
-        return m
+        return mask_of(self.special)
 
 
 @dataclass(frozen=True)

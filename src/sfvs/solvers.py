@@ -42,9 +42,11 @@ that set weighs less than the incumbent, X is skipped after its own kept set
 is considered.  A pair's completion lies inside X | B(X, A1) | B(X, A2), so
 a lighter union skips the pair's hat test and two-component completion.
 
-``solve_sfvs_xp`` solves the unweighted problem for any alpha bound d by brute
-force over the two small sides of an optimal solution: at most 2d surviving
-S-vertices and at most 2d removed non-S-vertices.
+``solve_sfvs_xp`` solves the unweighted problem for any alpha bound d.  An
+S-forest keeps at most 2d S-vertices, so ``sfvs.graph._xp_search`` branches
+over the surviving S-set K, removes S \\ K, and finds the fewest non-S
+vertices whose removal leaves an S-forest.  Removing all of S is the first
+incumbent, so each branch adds at most |K| <= 2d vertices.
 
 Both return the canonical optimum, the first removed set in
 ``sfvs.graph._before``'s order: minimum objective, ties broken toward the
@@ -53,7 +55,6 @@ lexicographically smallest removed set.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .flow import _cover_weights, _solve_bipartite_cover
@@ -67,10 +68,10 @@ from .graph import (
     _relabel,
     _s_cycle_free,
     _touched,
+    _xp_search,
     check_vertices,
     components_of_mask,
     ids_of,
-    mask_of,
     require_alpha,
 )
 from .oracle import Solution
@@ -349,8 +350,9 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
 def solve_sfvs_xp(g: Graph, s: Iterable[int], d: int) -> Solution:
     """Minimum-size subset feedback vertex set when alpha(G) <= d, unit weights.
 
-    Enumerates at most 2d surviving S-vertices against at most 2d removed
-    non-S-vertices; every optimal solution has both sides that small.
+    An S-forest keeps at most 2d S-vertices, so ``graph._xp_search`` branches
+    over the surviving S-vertices and the fewest non-S vertices that leave
+    an S-forest.
     """
     if d < 1:
         raise PreconditionError(f"d must be >= 1, got {d}")
@@ -361,26 +363,7 @@ def solve_sfvs_xp(g: Graph, s: Iterable[int], d: int) -> Solution:
         )
     require_alpha(g, d)
     s_mask = check_vertices(g, s)
-    full = g.vertex_mask()
-    s_ids = ids_of(s_mask)
-    non_s = ids_of(full & ~s_mask)
-    cap = 2 * d
-
-    best_size, best = len(s_ids), s_mask  # removing all of S is always feasible
-    for keep_count in range(min(cap, len(s_ids)), -1, -1):
-        base = len(s_ids) - keep_count
-        if base > best_size:
-            continue
-        for s_keep in combinations(s_ids, keep_count):
-            s_removed = s_mask & ~mask_of(s_keep)
-            for extra in range(min(cap, len(non_s)) + 1):
-                size = base + extra
-                if size > best_size:
-                    break
-                for x2 in combinations(non_s, extra):
-                    removed = s_removed | mask_of(x2)
-                    if not _before(size, removed, best_size, best):
-                        continue
-                    if _s_cycle_free(g, full & ~removed, s_mask):
-                        best_size, best = size, removed
-    return Solution(ids_of(best), best_size)
+    size, removed = _xp_search(
+        g, s_mask, 2 * d, lambda kept: _s_cycle_free(g, kept, s_mask)
+    )
+    return Solution(ids_of(removed), size)

@@ -417,6 +417,19 @@ def _connects(g: Graph, s_set, t_set, removed) -> bool:
     return bool(seen & t_set)
 
 
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Wrap ``module.name`` for the test: a one-slot list counts its calls."""
+    calls = [0]
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

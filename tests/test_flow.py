@@ -46,9 +46,21 @@ class TestMaxFlow:
         assert value == 0 and cut == ()
 
     def test_unbounded_path_is_reported(self):
-        net = FlowNetwork(3, ((0, 1, None), (1, 2, None)), 0, 2)
-        with pytest.raises(UnboundedFlowError, match="unbounded"):
-            max_flow(net)
+        for arcs, sink in (
+            (((0, 1, None), (1, 2, None)), 2),
+            # infinite arcs only: finite total 0, surrogate 1
+            (((0, 1, None), (0, 2, None), (2, 1, None), (1, 3, None)), 3),
+            # hops whose finite and infinite arcs merge, in either order
+            (((0, 1, None), (1, 2, 5), (1, 2, None), (2, 3, None), (2, 3, 7)), 3),
+        ):
+            net = FlowNetwork(sink + 1, arcs, 0, sink)
+            with pytest.raises(UnboundedFlowError, match="unbounded"):
+                max_flow(net)
+            assert _outcome(edmonds_karp_max_flow, net) == "unbounded"
+
+    def test_infinite_arcs_behind_a_zero_arc_are_bounded(self):
+        net = FlowNetwork(4, ((0, 1, None), (1, 2, 0), (2, 3, None)), 0, 3)
+        assert max_flow(net) == edmonds_karp_max_flow(net) == (0, ())
 
     def test_infinite_arc_off_the_path_is_fine(self):
         net = FlowNetwork(4, ((0, 1, 2), (1, 3, 5), (0, 2, None), (2, 1, None)), 0, 3)

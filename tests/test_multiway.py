@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from sfvs import (
@@ -12,12 +14,13 @@ from sfvs import (
     solve_nmcdt_xp,
     solve_wnmcdt_alpha2,
 )
-from sfvs import multiway, solvers
+from sfvs import graph, multiway, solvers
 from sfvs.generate import generate_instance
 
 from conftest import (
     apex_wnmcdt_alpha2,
     complete_graph,
+    count_calls,
     cycle_graph,
     path_graph,
     random_bounded_alpha,
@@ -114,6 +117,19 @@ class TestNmcdtXP:
                 want = oracle_solve(ProblemInstance(g, "nmcdt", t))
                 assert got == want, (d, g.edges, t)
                 assert check_multiway(g, t, got.removed, deletable=True)
+
+    def test_keep_then_extend_work_pin(self, monkeypatch):
+        # a search whose cut pool holds the kept terminals, and which tests
+        # cuts that cannot beat the incumbent, makes 185 separation tests here
+        inst = generate_instance(14, 3, 0.3, 7, "nmcdt", 0.6)
+        tested = count_calls(monkeypatch, multiway, "_terminals_separated")
+        ranked = count_calls(monkeypatch, graph, "_before")
+        assert solve_nmcdt_xp(inst.graph, inst.special, 3).objective == 7
+        assert tested[0] < 185, tested
+        # a branch ranks at most one set without testing it: the first one
+        # that is not before the incumbent
+        branches = sum(comb(len(inst.special), k) for k in range(1, 4))
+        assert ranked[0] - tested[0] <= branches, (ranked, tested)
 
 
 class TestWeightedNmcdtAlpha2:

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -14,7 +15,7 @@ from sfvs import (
     solve_wnmcdt_alpha2,
     solve_wsfvs_alpha3,
 )
-from sfvs import multiway, solvers
+from sfvs import graph, multiway, solvers
 from sfvs.flow import _cover_weights
 from sfvs.generate import generate_instance
 from sfvs.graph import _add_vertex, _before, _removed_first, ids_of, mask_of
@@ -31,6 +32,7 @@ from conftest import (
     apex_wnmcdt_alpha2,
     build_hat_graph,
     complete_graph,
+    count_calls,
     forest_labels,
     heavy_s,
     neighborhood,
@@ -624,6 +626,20 @@ class TestUnweightedXP:
                 solve_sfvs_xp(g, s, 3).objective
                 == solve_wsfvs_alpha3(g, s).objective
             )
+
+    def test_keep_then_extend_work_pin(self, monkeypatch):
+        # a search trying the largest kept S-sets first makes 6,640 S-forest
+        # tests here
+        inst = generate_instance(14, 3, 0.3, 7, "sfvs", 0.5)
+        tested = count_calls(monkeypatch, solvers, "_s_cycle_free")
+        ranked = count_calls(monkeypatch, graph, "_before")
+        assert solve_sfvs_xp(inst.graph, inst.special, 3).objective == 7
+        assert tested[0] < 6640, tested
+        # every output test passes when a branch ranks sets past the first
+        # one that is not before the incumbent; this count sees it, since a
+        # branch ranks at most that one set without testing it
+        branches = sum(comb(len(inst.special), k) for k in range(1, 7))
+        assert ranked[0] - tested[0] <= branches, (ranked, tested)
 
 
 class TestCanonicalTieBreak:
