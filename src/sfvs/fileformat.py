@@ -19,6 +19,8 @@ weights), so parse(emit(inst)) == inst.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .graph import Graph, GraphError, PreconditionError
 from .oracle import ProblemInstance
 from .reductions import MulticoloredInstance, ReductionOutput, TripartiteGraph
@@ -223,14 +225,28 @@ def parse_instance(text: str) -> ProblemInstance:
         raise ParseError(line_no, str(exc)) from exc
 
 
+# bytes.translate table from a binary numeral's digits to compress() flags
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def emit_instance(inst: ProblemInstance) -> str:
+    """Canonical text.  The edge lines of each u come in one join over
+    ``"e u "``; its later neighbours are read off the reversed binary numeral
+    of ``adj[u] >> (u + 1)``, whose digit i is that of vertex u + 1 + i."""
     g = inst.graph
+    adj = g._adj
     out = [f"p {inst.kind} {g.n} {g.edge_count()}"]
     for v in g.vertices():
         if g.weight(v) != 1:
             out.append(f"w {v} {g.weight(v)}")
-    for u, v in g.edge_pairs():
-        out.append(f"e {u} {v}")
+    names = [str(v) for v in range(g.n + 1)]
+    for u in g.vertices():
+        later = adj[u] >> (u + 1)
+        if later:
+            head = f"e {u} "
+            flags = bin(later)[:1:-1].encode().translate(_DIGIT_FLAGS)
+            later_names = names[u + 1 : u + 1 + len(flags)]
+            out.append(head + ("\n" + head).join(compress(later_names, flags)))
     if inst.kind == "fvs":
         pass  # set defaults to all vertices
     elif inst.special:

@@ -6,6 +6,12 @@ cover of size alpha forces alpha(G) <= alpha, so the bound holds for every
 seed by construction, not by luck.  All randomness comes from one
 ``random.Random(seed)``, drawn in a fixed order (edges, then weights, then the
 special set), so a seed determines the instance byte for byte.
+
+Edges are drawn once per pair u < v in different cliques, u ascending, then
+v ascending.  Each u starts at its clique's mask minus u and draws for v =
+``chunk.stop``..n: the cliques are contiguous, so the skipped v < chunk.stop
+are u's clique mates, which never drew, and the draws are those of a plain
+loop over all pairs u < v.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ def generate_instance(
     special_frac: float = 0.3,
     wmax: int = 1,
 ) -> ProblemInstance:
+    """A seeded instance with alpha(G) <= ``alpha``.  Its masks meet
+    ``Graph._from_adjacency``'s contract by construction: symmetric, with no
+    self-loop and no bit outside 1..n."""
     if kind not in FILE_KINDS:
         raise PreconditionError(f"unknown kind {kind!r}")
     if n < 0:
@@ -52,17 +61,18 @@ def generate_instance(
         raise PreconditionError("wmax must be >= 1")
 
     rng = random.Random(seed)
-    chunk_of = {}
-    for i, chunk in enumerate(clique_chunks(n, alpha)):
-        for v in chunk:
-            chunk_of[v] = i
-    edges = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if chunk_of[u] == chunk_of[v]:
-                edges.append((u, v))
-            elif rng.random() < p:
-                edges.append((u, v))
+    adj = [0] * (n + 1)
+    draw = rng.random
+    for chunk in clique_chunks(n, alpha):
+        clique = (1 << chunk.stop) - (1 << chunk.start)
+        for u in chunk:
+            bit = 1 << u
+            mask = adj[u] | clique ^ bit
+            for v in range(chunk.stop, n + 1):
+                if draw() < p:
+                    mask |= 1 << v
+                    adj[v] |= bit
+            adj[u] = mask
     weights = None
     if wmax > 1:
         weights = {v: rng.randint(1, wmax) for v in range(1, n + 1)}
@@ -71,4 +81,4 @@ def generate_instance(
     else:
         count = round(special_frac * n)
         special = tuple(sorted(rng.sample(range(1, n + 1), count)))
-    return ProblemInstance(Graph(n, edges, weights), kind, special)
+    return ProblemInstance(Graph._from_adjacency(n, adj, weights), kind, special)

@@ -352,7 +352,8 @@ def solve_sfvs_xp(g: Graph, s: Iterable[int], d: int) -> Solution:
 
     An S-forest keeps at most 2d S-vertices, so ``graph._xp_search`` branches
     over the surviving S-vertices and the fewest non-S vertices that leave
-    an S-forest.
+    an S-forest.  A kept S-set that already holds an S-cycle is skipped, as
+    every kept set of its branch contains it.
     """
     if d < 1:
         raise PreconditionError(f"d must be >= 1, got {d}")
@@ -363,7 +364,9 @@ def solve_sfvs_xp(g: Graph, s: Iterable[int], d: int) -> Solution:
         )
     require_alpha(g, d)
     s_mask = check_vertices(g, s)
-    size, removed = _xp_search(
-        g, s_mask, 2 * d, lambda kept: _s_cycle_free(g, kept, s_mask)
-    )
+
+    def s_forest(kept: int) -> bool:
+        return _s_cycle_free(g, kept, s_mask)
+
+    size, removed = _xp_search(g, s_mask, 2 * d, s_forest, s_forest)
     return Solution(ids_of(removed), size)
