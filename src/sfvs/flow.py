@@ -183,7 +183,9 @@ def _solve_bipartite_cover(
     left -> right -> sink, nodes numbered left then right in ascending id,
     with each vertex's weight on its source or sink arc and infinite
     left-right arcs.  A minimum cut never holds an infinite arc, so the
-    cover is read off the cut's source and sink arcs.
+    cover is read off the cut's source and sink arcs.  Under
+    ``graph._canonical_weights`` no two covers tie, so the minimum cover is
+    the canonical one.
     """
     left_ids, right_ids = ids_of(left), ids_of(right)
     order = left_ids + right_ids
@@ -201,15 +203,6 @@ def _solve_bipartite_cover(
     for a, b in cut:
         cover |= 1 << order[(b if a == 0 else a) - 1]
     return value, cover
-
-
-def _cover_weights(w: Sequence[int]) -> list[int]:
-    """K*w(v) - 2^(n-v), K = 2^(n+1), per vertex v of the weights ``w``
-    (index 0 unused).  The perturbations sum below K, so weight dominates and
-    the set holding the lowest differing vertex is lighter: the one minimum
-    cover is the lightest by ``w`` that comes first by ``_removed_first``."""
-    n = len(w) - 1
-    return [(wv << (n + 1)) - (1 << (n - v)) for v, wv in enumerate(w)]
 
 
 def min_vertex_separator(

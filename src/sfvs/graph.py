@@ -11,12 +11,21 @@ stands for vertex ``v``; bit 0 is unused), and sets cross between internal
 functions only as masks, which keeps the exponential enumerations in the rest
 of the package fast enough for exhaustive testing.
 
-Every solver and the oracle rank removed sets by one canonical order,
-:func:`_before`: lower objective first, ties by :func:`_removed_first`.
-Both unit-weight XP solvers (``sfvs-xp``, ``nmcdt-xp``) run one search in
-that order, :func:`_xp_search`: keep a few special vertices, remove the rest
-of the special set, and extend by the fewest other vertices that make the
-kept set feasible.
+Every solver returns the canonical optimum: the removed set of least
+weight, ties broken to the lexicographically smallest sorted id tuple.  The
+solvers rank sets by one integer, the sum of the perturbed weights
+:func:`_canonical_weights`, w'(v) = K w(v) - 2^(n-v) with K = 2^(n+1).  For a
+set A, w'(A) = K w(A) - P(A) with P(A) the sum of 2^(n-v) over A, and
+0 <= P(A) <= 2^n - 1 < K.  So a lighter set is lighter under w' too, and at
+equal weight P decides: P is a set's bits read with vertex 1 highest, so it
+is injective, and the larger P holds the lowest vertex where the sets
+differ.  That vertex decides the lexicographic order too, as neither of two
+equal-weight sets is a strict prefix of the other (weights are positive).
+Hence w'(A) < w'(B) iff (w(A), ids(A)) < (w(B), ids(B)), distinct sets never
+tie, and w' is positive.  Both unit-weight XP solvers (``sfvs-xp``,
+``nmcdt-xp``) run one search in that order, :func:`_xp_search`: keep a few
+special vertices, remove the rest of the special set, and extend by the
+fewest other vertices that make the kept set feasible.
 
 The central predicate is :func:`is_s_forest`: given a vertex subset ``x`` and
 a distinguished set ``s``, decide whether no cycle of ``G[x]`` passes through
@@ -102,29 +111,12 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-def _removed_first(a: int, b: int) -> bool:
-    """The canonical tie-break: True iff removed set ``a`` comes before
-    removed set ``b`` of equal objective.
-
-    Canonical order ranks the sorted id tuples lexicographically, and that is
-    decided by the lowest vertex of ``a ^ b``: ``a`` comes first iff it holds
-    that vertex.  Equal objectives with positive weights mean neither set is
-    a strict prefix of the other, so nothing else can decide.  Bits the two
-    masks share do not matter, so both may leave out a common part, and both
-    may be given as the complements ``~kept`` of kept sets.
-    """
-    diff = a ^ b
-    return bool(diff & -diff & a)
-
-
-def _before(obj: int, removed: int, best_obj: int, best: int) -> bool:
-    """The canonical order: True iff removed set ``removed``, of objective
-    ``obj``, comes before ``best``, of objective ``best_obj``.  The lower
-    objective wins; equal objectives are decided by ``_removed_first``.
-    """
-    if obj != best_obj:
-        return obj < best_obj
-    return _removed_first(removed, best)
+def _canonical_weights(w: Sequence[int]) -> list[int]:
+    """K*w(v) - 2^(n-v), K = 2^(n+1), per vertex v of the weights ``w``
+    (index 0 unused): the perturbed weights whose sums rank removed sets in
+    canonical order, as the module docstring proves."""
+    n = len(w) - 1
+    return [(wv << (n + 1)) - (1 << (n - v)) for v, wv in enumerate(w)]
 
 
 def _xp_search(
@@ -144,25 +136,29 @@ def _xp_search(
     with ``keep_ok(K)`` when given, the branch removes special \\ K plus
     extra sets from the non-special pool in (size, lexicographic) order.
 
-    - The caps are implied: best_size <= |special|, so a branch keeping K
-      tries at most best_size - |special \\ K| <= |K| <= ``keep_max`` extra
-      vertices, and none when special \\ K alone outgrows the incumbent.
+    - The caps are implied: the incumbent removes at most |special|
+      vertices, so a branch keeping K tries at most |best| - |special \\ K|
+      <= |K| <= ``keep_max`` extra vertices, and none when special \\ K
+      alone outgrows the incumbent.
     - The pool leaves out the kept special vertices: a set that removes a
       kept t as an extra vertex is the removed set of branch K - t with one
       fewer extra vertex.  That branch is searched too (K - t = {} being
       the first incumbent), provided ``keep_ok`` holds on subsets of sets it
       holds on, as independence does.
-    - Each branch stops at its first feasible set, and at its first set that
-      is not ``_before`` the incumbent: its removed sets of equal size share
-      special \\ K, so they differ first at an extra vertex, and the
-      lexicographic order of the extra sets is ``_removed_first``'s.  The
+    - Each branch stops at its first feasible set, and at its first set
+      whose ``_canonical_weights`` sum is not below the incumbent's: its
+      removed sets of equal size share special \\ K, so they differ first at
+      an extra vertex, and the extra sets come in lexicographic order.  The
       branch thus yields its sets in canonical order, and none after either
       stop can win.
     """
     full = g.vertex_mask()
+    weight = _canonical_weights(g._w)
     ids = ids_of(special)
     pool = ids_of(full & ~special)
-    best_size, best = len(ids), special
+    pool_weight = [weight[v] for v in pool]
+    best = special
+    special_weight = best_weight = sum(weight[v] for v in ids)
     for keep in range(1, keep_max + 1):
         base = len(ids) - keep
         for kept in combinations(ids, keep):
@@ -170,18 +166,22 @@ def _xp_search(
             if keep_ok is not None and not keep_ok(km):
                 continue
             fixed = special & ~km
-            for removed in (
-                fixed | mask_of(extra)
-                for k in range(best_size - base + 1)
-                for extra in combinations(pool, k)
+            fixed_weight = special_weight - sum(weight[v] for v in kept)
+            # pool_weight lines up with pool, so the second combinations
+            # yields the weights of the extra set the first one yields
+            for extra, extra_weight in (
+                pair
+                for k in range(best.bit_count() - base + 1)
+                for pair in zip(combinations(pool, k), combinations(pool_weight, k))
             ):
-                size = removed.bit_count()
-                if not _before(size, removed, best_size, best):
+                removed = fixed | mask_of(extra)
+                removed_weight = fixed_weight + sum(extra_weight)
+                if removed_weight >= best_weight:
                     break
                 if feasible(full & ~removed):
-                    best_size, best = size, removed
+                    best, best_weight = removed, removed_weight
                     break
-    return best_size, best
+    return best.bit_count(), best
 
 
 class Graph:
@@ -278,9 +278,6 @@ class Graph:
         for v in _bits(mask):
             total += w[v]
         return total
-
-    def total_weight(self) -> int:
-        return sum(self._w)
 
     def adj_mask(self, v: int) -> int:
         return self._adj[v]

@@ -19,13 +19,13 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .flow import _cover_weights, _solve_bipartite_cover
+from .flow import _solve_bipartite_cover
 from .graph import (
     Graph,
     InternalInvariantError,
     PreconditionError,
-    _before,
     _bits,
+    _canonical_weights,
     _xp_search,
     check_vertices,
     ids_of,
@@ -53,7 +53,7 @@ def _pair_cut(adj: list[int], weight: list[int], t1: int, t2: int, gone: int) ->
     Every cut removes the common neighbours C.  The rest of the two
     neighbourhoods, A = N(t1) - N(t2) and B = N(t2) - N(t1), is joined only
     by A-B edges, so the optimum is C plus a minimum cover of those edges,
-    the canonical one under the ``flow._cover_weights`` list ``weight``.
+    the canonical one under the ``graph._canonical_weights`` list ``weight``.
     """
     a, b = adj[t1] & ~gone, adj[t2] & ~gone
     _, cover = _solve_bipartite_cover(a & ~b, b & ~a, adj, weight)
@@ -78,7 +78,7 @@ def solve_nmc_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     if len(terms) <= 1:
         return Solution((), 0)
     t1, t2 = terms
-    removed = ids_of(_pair_cut(adj, _cover_weights([1] * (g.n + 1)), t1, t2, 0))
+    removed = ids_of(_pair_cut(adj, _canonical_weights([1] * (g.n + 1)), t1, t2, 0))
     if not check_multiway(g, terms, removed, deletable=False):
         raise InternalInvariantError("cut failed the multiway recheck")
     return Solution(removed, len(removed))
@@ -120,24 +120,19 @@ def solve_wnmcdt_alpha2(g: Graph, t: Iterable[int]) -> Solution:
     between them in G - U, where every other vertex sees t1 or t2 (else the
     three are independent).  That cut is ``_pair_cut``'s: U and the common
     neighbours lie in every cut of the pair, so its canonical cover makes it
-    the pair's canonical best.  The optimum is the first of these candidates
-    in ``_before``'s order: by weight, then by ``_removed_first``.
+    the pair's canonical best.  The optimum is the candidate of least
+    ``graph._canonical_weights`` sum, the first in canonical order.
     """
     require_alpha(g, 2)
     tm = check_vertices(g, t)
     terms = ids_of(tm)
-    adj, weight = g._adj, _cover_weights(g._w)
-    candidates = [tm & ~(1 << v) for v in terms]
+    adj, weight = g._adj, _canonical_weights(g._w)
+    candidates = [tm] + [tm & ~(1 << v) for v in terms]
     for t1, t2 in combinations(terms, 2):
         if not adj[t1] >> t2 & 1:
             gone = tm & ~(1 << t1) & ~(1 << t2)
             candidates.append(gone | _pair_cut(adj, weight, t1, t2, gone))
-    best, best_weight = tm, g.weight_of_mask(tm)
-    for cand in candidates:
-        cw = g.weight_of_mask(cand)
-        if _before(cw, cand, best_weight, best):
-            best, best_weight = cand, cw
-    removed = ids_of(best)
+    removed = ids_of(min(candidates, key=lambda m: sum(weight[v] for v in _bits(m))))
     if not check_multiway(g, terms, removed, deletable=True):
         raise InternalInvariantError("deletable-terminal cut failed the recheck")
-    return Solution(removed, best_weight)
+    return Solution(removed, g.weight_of(removed))

@@ -25,7 +25,6 @@ from itertools import combinations
 from .graph import (
     Graph,
     PreconditionError,
-    _before,
     _bits,
     _s_cycle_free,
     check_vertices,
@@ -159,10 +158,10 @@ def _solve_weighted(inst: ProblemInstance) -> Solution:
     The incumbent starts at removing all of S (or T), which is feasible for
     both weighted kinds: no S-vertex is left for a cycle to pass through, and
     no terminal is left to be connected.  A mask is tested for feasibility
-    only if it comes before the incumbent in ``sfvs.graph``'s canonical
-    order, ``_before``: a lower weight, or the same weight and the
-    lexicographically smaller removed set.
-    Memory stays constant in n.
+    only if it comes before the incumbent in canonical order, the plain
+    tuple order of (weight, sorted ids); the solvers' perturbed weights are
+    not used, so the referee shares no tie rule with them.  Memory stays
+    constant in n.
     """
     g = inst.graph
     w = g._w
@@ -174,7 +173,9 @@ def _solve_weighted(inst: ProblemInstance) -> Solution:
             b = mm & -mm
             total += w[b.bit_length() - 1]
             mm ^= b
-        if not _before(total, m, best_weight, best):
+        if total > best_weight or (
+            total == best_weight and ids_of(m) >= ids_of(best)
+        ):
             continue
         if feasible_removed(inst, m):
             best_weight, best = total, m

@@ -20,9 +20,11 @@ carries, for every vertex, its component in G[X \\ S] and in G[X], and the
 contracted-forest rule in :mod:`sfvs.graph` (stated and proved in that
 module's docstring) decides every S-forest test from those labels.
 
-Exact bounds against the best kept set found so far (the incumbent) skip
-work that cannot change the answer.  All comparisons are strict: a
-completion of equal weight can still win the tie-break.
+The solver runs on a twin of the graph that carries
+``sfvs.graph._canonical_weights``, on which the canonical optimum is the one
+heaviest kept set: distinct sets never tie, so every comparison is one
+integer comparison.  Exact bounds against the best kept set found so far
+(the incumbent) skip work that cannot change the answer.
 
 Bound 1 prunes whole subtrees of the candidate enumeration.  Fix the
 surviving S-set sp; every candidate under it is sp plus vertices of the pool
@@ -48,23 +50,22 @@ over the surviving S-set K, removes S \\ K, and finds the fewest non-S
 vertices whose removal leaves an S-forest.  Removing all of S is the first
 incumbent, so each branch adds at most |K| <= 2d vertices.
 
-Both return the canonical optimum, the first removed set in
-``sfvs.graph._before``'s order: minimum objective, ties broken toward the
-lexicographically smallest removed set.
+Both return the canonical optimum (``sfvs.graph``): minimum objective,
+ties broken toward the lexicographically smallest removed set.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .flow import _cover_weights, _solve_bipartite_cover
+from .flow import _solve_bipartite_cover
 from .graph import (
     Graph,
     InternalInvariantError,
     PreconditionError,
     _add_vertex,
-    _before,
     _bits,
+    _canonical_weights,
     _relabel,
     _s_cycle_free,
     _touched,
@@ -103,7 +104,7 @@ def _s1_candidates(
 
     ``floor`` is a one-slot list holding the incumbent's kept weight; the
     caller may raise it between yields.  A subtree is pruned once its cap,
-    w(sp) + w(V \\ S) minus the pool vertices it skips, falls strictly below
+    w(sp) + w(V \\ S) minus the pool vertices it skips, falls below
     ``floor[0]`` (Bound 1, proved in the module docstring); ``[0]`` yields
     every candidate.
     """
@@ -222,24 +223,24 @@ def _case_a1(g: Graph, x_mask: int, b: int) -> tuple[int, int]:
     best = best_weight = 0
     for comp in components_of_mask(g, b):
         weight = g.weight_of_mask(comp)
-        if not best or _before(-weight, ~comp, -best_weight, ~best):
+        if weight > best_weight:
             best, best_weight = comp, weight
     return x_mask | best, best
 
 
 def _case_a1a2(
-    g: Graph, x_mask: int, s_mask: int, b1: int, b2: int, weight: Sequence[int]
+    g: Graph, x_mask: int, s_mask: int, b1: int, b2: int
 ) -> tuple[int, int, int] | None:
     """Best completion with two far components inside ``b1`` = B(X, A1) and
     ``b2`` = B(X, A2), or None if no pair exists.
 
-    ``weight`` is ``flow._cover_weights(g._w)``, so each pair (w1, w2) gets
-    its canonical completion: all it removes outside the cover is fixed.
+    Each pair (w1, w2) gets the completion of the minimum cover under
+    ``g``'s weights, and all it removes outside the cover is fixed.
     Returns (kept mask, component 1 mask, component 2 mask).
     """
     if not b1 or not b2:
         return None
-    adj = g._adj
+    adj, weight = g._adj, g._w
     best = None
     best_weight = 0
     for w1 in _bits(b1):
@@ -269,7 +270,7 @@ def _case_a1a2(
                 )
             far = c1 | c2
             far_weight = g.weight_of_mask(far)
-            if best is None or _before(-far_weight, ~far, -best_weight, ~(best[1] | best[2])):
+            if far_weight > best_weight:
                 best, best_weight = (kept, c1, c2), far_weight
     return best
 
@@ -284,14 +285,11 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
     labels the candidate enumeration derived for X, B(X, A) is computed once
     per valid single A, and only pairs of singles whose B sets are both nonempty are
     hat-tested and completed (a pair with an empty side has no two-component
-    completion).  Completions compete on masks through ``sfvs.graph``'s
-    canonical order as ``_before(-w(kept), ~kept, -w(best), ~best)``, which
-    is that order on the removed sets: w(V \\ kept) = w(V) - w(kept) orders
-    as -w(kept) does, and ``~kept`` is V \\ kept plus bits every complement
-    shares, which ``_removed_first`` ignores.  So the heavier kept set wins,
-    and at equal weight the one whose removed set is lexicographically
-    smallest.  The completion cases leave out the shared X, which shifts
-    both weights alike.
+    completion).  The search runs on ``twin``, ``g`` with its weights
+    perturbed by ``sfvs.graph._canonical_weights``.  There the removed set
+    of least weight is the canonical one, and w(V \\ kept) = w(V) - w(kept),
+    so the heaviest kept set wins.  The completion cases leave out the
+    shared X, which shifts both weights alike.
 
     The incumbent's weight only grows, and it bounds the remaining work
     exactly.  It sits in the one-slot list ``floor``, which ``consider``
@@ -300,44 +298,43 @@ def solve_wsfvs_alpha3(g: Graph, s: Iterable[int]) -> Solution:
     X is skipped when w(X | B(X, X \\ S)) is below it: every completion of X
     lies inside that set, because B(X, A) grows with A and every budget set A
     lies inside X \\ S.  A pair is skipped when w(X | B1 | B2) is below it,
-    since its completion lies inside that union.  Every test is strict
-    ``<``: a completion that only ties the incumbent can still win
-    ``_before``'s tie-break, so skipping it could change the removed set.
+    since its completion lies inside that union.
     """
     require_alpha(g, 3)
     s_mask = check_vertices(g, s)
     full = g.vertex_mask()
-    cover_weight = _cover_weights(g._w)
+    perturbed = _canonical_weights(g._w)
+    twin = Graph._from_adjacency(g.n, g._adj, {v: perturbed[v] for v in g.vertices()})
 
     best_kept = full & ~s_mask  # dropping all of S is always feasible
-    floor = [g.weight_of_mask(best_kept)]  # the incumbent's kept weight
+    floor = [twin.weight_of_mask(best_kept)]  # the incumbent's kept weight
 
     def consider(kept: int):
         nonlocal best_kept
-        weight = g.weight_of_mask(kept)
-        if _before(-weight, ~kept, -floor[0], ~best_kept):
+        weight = twin.weight_of_mask(kept)
+        if weight > floor[0]:
             best_kept, floor[0] = kept, weight
 
-    for x_mask, ycomp, tree in _s1_candidates(g, s_mask, 3, floor):
+    for x_mask, ycomp, tree in _s1_candidates(twin, s_mask, 3, floor):
         if not x_mask:
             continue
         consider(x_mask)  # empty tuple: the forest is G[x] itself
         free = x_mask & ~s_mask
-        if g.weight_of_mask(x_mask | _b_mask(g, x_mask, s_mask, free)) < floor[0]:
+        if twin.weight_of_mask(x_mask | _b_mask(twin, x_mask, s_mask, free)) < floor[0]:
             continue  # every completion of X lies inside X | B(X, X \ S)
         live = []  # (A, B(X, A)) for the valid singles with a nonempty B
         for a in _valid_single_parts(ycomp, tree, free):
-            b = _b_mask(g, x_mask, s_mask, a)
+            b = _b_mask(twin, x_mask, s_mask, a)
             if b:
-                consider(_case_a1(g, x_mask, b)[0])
+                consider(_case_a1(twin, x_mask, b)[0])
                 live.append((a, b))
         for i, (a1, b1) in enumerate(live):
             for a2, b2 in live[i:]:
-                if g.weight_of_mask(x_mask | b1 | b2) < floor[0]:
+                if twin.weight_of_mask(x_mask | b1 | b2) < floor[0]:
                     continue  # the pair's completion lies inside X | B1 | B2
                 if not _hat_ok(ycomp, tree, (a1, a2)):
                     continue
-                res = _case_a1a2(g, x_mask, s_mask, b1, b2, cover_weight)
+                res = _case_a1a2(twin, x_mask, s_mask, b1, b2)
                 if res is not None:
                     consider(res[0])
 

@@ -363,7 +363,7 @@ def apex_wnmcdt_alpha2(g: Graph, t) -> Solution:
     adj = [a | (tm >> v & 1) << apex for v, a in enumerate(g._adj)]
     adj.append(tm)
     weights = {v: g.weight(v) for v in g.vertices()}
-    weights[apex] = g.total_weight()
+    weights[apex] = g.weight_of(g.vertices())
     extended = Graph._from_adjacency(apex, adj, weights)
     inner = solve_wsfvs_alpha3(extended, (apex,))
     if apex in inner.removed:

@@ -48,7 +48,7 @@ class TestConstruction:
     def test_default_weights_are_one(self):
         g = Graph(3, [(1, 2)])
         assert [g.weight(v) for v in g.vertices()] == [1, 1, 1]
-        assert g.total_weight() == 3
+        assert g.weight_of(g.vertices()) == 3
 
 
 class TestInducedSubgraph:

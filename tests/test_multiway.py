@@ -123,13 +123,15 @@ class TestNmcdtXP:
         # cuts that cannot beat the incumbent, makes 185 separation tests here
         inst = generate_instance(14, 3, 0.3, 7, "nmcdt", 0.6)
         tested = count_calls(monkeypatch, multiway, "_terminals_separated")
-        ranked = count_calls(monkeypatch, graph, "_before")
+        masks = count_calls(monkeypatch, graph, "mask_of")
         assert solve_nmcdt_xp(inst.graph, inst.special, 3).objective == 7
         assert tested[0] < 185, tested
-        # a branch ranks at most one set without testing it: the first one
-        # that is not before the incumbent
+        # the search builds one mask per kept terminal set and one per ranked
+        # set; a branch ranks at most one set without testing it, the first
+        # one that does not beat the incumbent
         branches = sum(comb(len(inst.special), k) for k in range(1, 4))
-        assert ranked[0] - tested[0] <= branches, (ranked, tested)
+        ranked = masks[0] - branches
+        assert ranked - tested[0] <= branches, (ranked, tested)
 
 
 class TestWeightedNmcdtAlpha2:
@@ -215,7 +217,10 @@ class TestWeightedNmcdtAlpha2:
             n = rng.randint(1, 9)
             g = random_bounded_alpha(rng, n, 2, 0.5)
             t = random_subset(rng, n, 0.5)
-            assert (
-                solve_wnmcdt_alpha2(g, t).objective
-                == solve_nmcdt_xp(g, t, 2).objective
-            )
+            assert solve_wnmcdt_alpha2(g, t) == solve_nmcdt_xp(g, t, 2), (g.edges, t)
+
+    @pytest.mark.parametrize("n", range(15, 21))
+    def test_agrees_with_xp_at_n_15_to_20(self, n):
+        inst = generate_instance(n, 2, 0.1, n, "nmcdt", 0.5)
+        got = solve_wnmcdt_alpha2(inst.graph, inst.special)
+        assert got == solve_nmcdt_xp(inst.graph, inst.special, 2)

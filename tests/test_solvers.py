@@ -16,9 +16,8 @@ from sfvs import (
     solve_wsfvs_alpha3,
 )
 from sfvs import graph, multiway, solvers
-from sfvs.flow import _cover_weights
 from sfvs.generate import generate_instance
-from sfvs.graph import _add_vertex, _before, _removed_first, ids_of, mask_of
+from sfvs.graph import _add_vertex, _canonical_weights, ids_of, mask_of
 from sfvs.solvers import (
     _b_mask,
     _case_a1,
@@ -354,7 +353,7 @@ class TestCompletionCases:
             x_mask, s_mask = mask_of(x), mask_of(s)
             b1 = _b_mask(g, x_mask, s_mask, mask_of(a1))
             b2 = _b_mask(g, x_mask, s_mask, mask_of(a2))
-            res = _case_a1a2(g, x_mask, s_mask, b1, b2, _cover_weights(g._w))
+            res = _case_a1a2(g, x_mask, s_mask, b1, b2)
             best = _best_far(g, s, x, [a1, a2], want_components=2)
             if res is None:
                 assert best == 0, (g.edges, s, x, a1, a2)
@@ -507,8 +506,8 @@ class TestWeightedAlpha3:
         ],
     )
     def test_a_bound_that_only_ties_the_incumbent_prunes_nothing(self, g, s, removed):
-        # the incumbent bounds are exact only with a strict <: an equal-weight
-        # completion can still win the tie-break
+        # each optimum ties a set found earlier at its input weight; the tie
+        # must still resolve to the oracle's removed set
         got = solve_wsfvs_alpha3(g, s)
         assert got == oracle_solve(ProblemInstance(g, "wsfvs", s))
         assert got.removed == removed
@@ -622,27 +621,33 @@ class TestUnweightedXP:
             n = rng.randint(1, 9)
             g = random_bounded_alpha(rng, n, 3, 0.5)
             s = random_subset(rng, n, 0.5)
-            assert (
-                solve_sfvs_xp(g, s, 3).objective
-                == solve_wsfvs_alpha3(g, s).objective
-            )
+            assert solve_sfvs_xp(g, s, 3) == solve_wsfvs_alpha3(g, s), (g.edges, s)
+
+    @pytest.mark.parametrize("n, seed", [(15, 5), (16, 0), (16, 5), (18, 0), (20, 0)])
+    def test_agrees_with_weighted_solver_at_n_15_to_20(self, n, seed):
+        # the first three optima keep S-vertices yet tie removing all of S
+        inst = generate_instance(n, 3, 0.1, seed, "sfvs", 0.3)
+        got = solve_sfvs_xp(inst.graph, inst.special, 3)
+        assert got == solve_wsfvs_alpha3(inst.graph, inst.special)
 
     def test_keep_then_extend_work_pin(self, monkeypatch):
         # a search trying the largest kept S-sets first makes 6,640 S-forest
         # tests here
         inst = generate_instance(14, 3, 0.3, 7, "sfvs", 0.5)
         tested = count_calls(monkeypatch, solvers, "_s_cycle_free")
-        ranked = count_calls(monkeypatch, graph, "_before")
+        masks = count_calls(monkeypatch, graph, "mask_of")
         assert solve_sfvs_xp(inst.graph, inst.special, 3).objective == 7
         assert tested[0] < 6640, tested
         # skipping kept S-sets that hold an S-cycle: 2,000 output tests plus
         # 126 kept-set tests here, against 6,477 output tests without
         assert tested[0] < 6477, tested
+        # the search builds one mask per kept S-set and one per ranked set;
         # every output test passes when a branch ranks sets past the first
-        # one that is not before the incumbent; this count sees it, since a
-        # branch ranks at most that one set without testing it
+        # one that does not beat the incumbent, and this count sees it, since
+        # a branch ranks at most that one set without testing it
         branches = sum(comb(len(inst.special), k) for k in range(1, 7))
-        assert ranked[0] - tested[0] <= branches, (ranked, tested)
+        ranked = masks[0] - branches
+        assert ranked - tested[0] <= branches, (ranked, tested)
 
 
 class TestCanonicalTieBreak:
@@ -683,31 +688,19 @@ class TestCanonicalTieBreak:
             want = oracle_solve(inst)
             assert got.removed == want.removed, (inst.graph.edges, inst.special)
 
-    def test_mask_order_agrees_with_removed_tuple_order(self, rng):
-        checked = 0
-        for _ in range(3000):
-            n = rng.randint(1, 12)
-            g = random_bounded_alpha(rng, n, 3, 0.0, wmax=rng.choice([1, 2, 3]))
-            full = g.vertex_mask()
-            k1 = rng.getrandbits(n + 1) & full
-            k2 = rng.getrandbits(n + 1) & full
-            w1, w2 = g.weight_of_mask(k1), g.weight_of_mask(k2)
-            if w1 != w2 or k1 == k2:
-                continue
-            want = ids_of(full & ~k1) < ids_of(full & ~k2)
-            assert _before(-w1, ~k1, -w2, ~k2) == want, (n, k1, k2)
-            assert _before(-w2, ~k2, -w1, ~k1) == (not want), (n, k1, k2)
-            assert _removed_first(full & ~k1, full & ~k2) == want, (n, k1, k2)
-            assert _removed_first(full & ~k2, full & ~k1) == (not want), (n, k1, k2)
-            checked += 1
-        assert checked > 200
-
-    def test_mask_order_prefers_the_heavier_kept_set(self):
-        assert _before(-5, ~0b0110, -4, ~0b1000)
-        assert not _before(-4, ~0b1000, -5, ~0b0110)
-
-    def test_lower_objective_wins_against_the_tie_break(self):
-        # {2} comes after {1} lexicographically, but its objective is lower
-        assert not _removed_first(0b100, 0b010)
-        assert _before(2, 0b100, 3, 0b010)
-        assert not _before(3, 0b010, 2, 0b100)
+    def test_perturbed_sums_rank_removed_sets_in_canonical_order(self, rng):
+        ties = 0
+        for n in [0, 1, 60] + [rng.randint(2, 12) for _ in range(300)]:
+            scale = rng.choice([1, 1 << 64])
+            wmax = rng.choice([1, 3, 1 << 70])
+            w = [0] + [rng.randint(1, wmax) * scale for _ in range(n)]
+            perturbed = _canonical_weights(w)
+            assert all(wv > 0 for wv in perturbed[1:])
+            for _ in range(20):
+                a, b = (rng.getrandbits(n + 1) & ~1 for _ in range(2))
+                ka, kb = ((sum(w[v] for v in ids_of(m)), ids_of(m)) for m in (a, b))
+                pa, pb = (sum(perturbed[v] for v in ids_of(m)) for m in (a, b))
+                assert (pa < pb) == (ka < kb), (w, a, b)
+                assert (pa == pb) == (a == b), (w, a, b)
+                ties += a != b and ka[0] == kb[0]
+        assert ties > 300, ties
